@@ -73,6 +73,14 @@ CacheHierarchy::access(uint32_t core, uint64_t addr)
 }
 
 void
+CacheHierarchy::hostPrefetch(uint32_t core, uint64_t addr) const
+{
+    RP_ASSERT(core < numCores(), "core %u out of %u", core, numCores());
+    l2s_[core]->hostPrefetch(addr);
+    l3_->hostPrefetch(addr);
+}
+
+void
 CacheHierarchy::issuePrefetches(uint32_t core, uint64_t addr)
 {
     const uint64_t line = l1s_[core]->lineBytes();

@@ -106,6 +106,12 @@ class CacheHierarchy
      */
     HitLevel access(uint32_t core, uint64_t addr);
 
+    /**
+     * Host-side hint ahead of access(@p core, @p addr): start loading
+     * the line's private-L2 and LLC sets. No effect on the model.
+     */
+    void hostPrefetch(uint32_t core, uint64_t addr) const;
+
     /** Latency in core cycles for an access serviced at @p level. */
     uint32_t latencyCycles(HitLevel level) const;
 

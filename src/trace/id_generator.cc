@@ -110,16 +110,24 @@ RepeatGen::RepeatGen(std::unique_ptr<IdGenerator> base, double repeat_prob,
 int64_t
 RepeatGen::next()
 {
-    int64_t id;
-    if (!history_.empty() && rng_.nextBool(repeat_prob_)) {
-        size_t idx = static_cast<size_t>(rng_.nextBelow(history_.size()));
-        id = history_[idx];
+    int64_t id = next_slot_ == npos ? base_->next() : history_[next_slot_];
+    if (history_.size() < window_) {
+        history_.push_back(id);
     } else {
-        id = base_->next();
+        history_[head_] = id;
+        head_ = head_ + 1 == window_ ? 0 : head_ + 1;
     }
-    history_.push_back(id);
-    if (history_.size() > window_)
-        history_.pop_front();
+
+    // Draw the next call's choice now, in the same order a draw at the
+    // start of that call would, and start loading the slot it repeats.
+    // Index i means the i-th oldest remembered ID.
+    next_slot_ = npos;
+    if (rng_.nextBool(repeat_prob_)) {
+        const size_t size = history_.size();
+        size_t idx = head_ + static_cast<size_t>(rng_.nextBelow(size));
+        next_slot_ = idx < size ? idx : idx - size;
+        __builtin_prefetch(&history_[next_slot_]);
+    }
     return id;
 }
 

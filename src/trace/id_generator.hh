@@ -18,7 +18,6 @@
 #define RECPERF_TRACE_ID_GENERATOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,7 +112,14 @@ class RepeatGen : public IdGenerator
     double repeat_prob_;
     size_t window_;
     Rng rng_;
-    std::deque<int64_t> history_;
+    /// The last min(draws, window_) IDs as a ring: history_[head_] is
+    /// the oldest once the ring is full (head_ stays 0 until then).
+    std::vector<int64_t> history_;
+    size_t head_ = 0;
+    /// The next draw's repeat choice, drawn one call early so its slot
+    /// can be prefetched: npos for a fresh ID, else the history_ slot.
+    size_t next_slot_ = npos;
+    static constexpr size_t npos = ~size_t{0};
 };
 
 /** Fraction of distinct values in a trace (the Fig 14 y-axis). */

@@ -58,6 +58,7 @@ class ReferenceCache
         if (set.size() == assoc_) {
             evicted = set.front() * line_bytes_;
             set.pop_front();
+            ++evictions;
         }
         set.push_back(line);
         return evicted;
@@ -66,9 +67,17 @@ class ReferenceCache
     bool
     invalidate(uint64_t addr)
     {
+        if (!extract(addr))
+            return false;
+        ++backInvalidations;
+        return true;
+    }
+
+    bool
+    extract(uint64_t addr)
+    {
         auto &set = setFor(addr);
-        uint64_t line = addr / line_bytes_;
-        auto it = std::find(set.begin(), set.end(), line);
+        auto it = std::find(set.begin(), set.end(), addr / line_bytes_);
         if (it == set.end())
             return false;
         set.erase(it);
@@ -82,6 +91,9 @@ class ReferenceCache
         return std::find(set.begin(), set.end(), addr / line_bytes_) !=
             set.end();
     }
+
+    uint64_t evictions = 0;
+    uint64_t backInvalidations = 0;
 
     uint64_t
     occupancy() const
@@ -112,29 +124,34 @@ struct FuzzConfig
     uint64_t addr_space_lines;
 };
 
-class CacheFuzz : public ::testing::TestWithParam<FuzzConfig>
+/**
+ * Run 30k random operations on a Cache and the reference. Line address
+ * = @p base_line + @p stride_lines * draw; a stride that is a multiple
+ * of a large set count crowds the draws into a few sets.
+ */
+void
+fuzzAgainstReference(const FuzzConfig &cfg, uint64_t stride_lines = 1,
+                     uint64_t base_line = 0)
 {
-};
-
-TEST_P(CacheFuzz, AgreesWithReference)
-{
-    const FuzzConfig cfg = GetParam();
     Cache cache("fuzz", cfg.size_bytes, cfg.assoc);
     ReferenceCache ref(cfg.size_bytes, cfg.assoc);
     Rng rng(cfg.seed);
 
     for (int step = 0; step < 30'000; ++step) {
-        uint64_t addr = rng.nextBelow(cfg.addr_space_lines) * 64 +
+        uint64_t line = base_line +
+            rng.nextBelow(cfg.addr_space_lines) * stride_lines;
+        uint64_t addr = line * 64 +
             rng.nextBelow(64); // arbitrary byte within the line
-        switch (rng.nextBelow(4)) {
+        switch (rng.nextBelow(6)) {
           case 0:
-          case 1: { // access (most common)
+          case 1:
+          case 2: { // access (most common)
             bool got = cache.access(addr);
             bool want = ref.access(addr);
             ASSERT_EQ(got, want) << "access mismatch at step " << step;
             break;
           }
-          case 2: { // fill
+          case 3: { // fill
             auto got = cache.fill(addr);
             auto want = ref.fill(addr);
             ASSERT_EQ(got.has_value(), want.has_value())
@@ -144,9 +161,14 @@ TEST_P(CacheFuzz, AgreesWithReference)
             }
             break;
           }
-          default: { // invalidate
+          case 4: { // invalidate
             ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr))
                 << "invalidate mismatch at step " << step;
+            break;
+          }
+          default: { // extract
+            ASSERT_EQ(cache.extract(addr), ref.extract(addr))
+                << "extract mismatch at step " << step;
             break;
           }
         }
@@ -161,6 +183,17 @@ TEST_P(CacheFuzz, AgreesWithReference)
     ASSERT_EQ(lines.size(), ref.occupancy());
     for (uint64_t addr : lines)
         ASSERT_TRUE(ref.contains(addr));
+    EXPECT_EQ(cache.stats().evictions, ref.evictions);
+    EXPECT_EQ(cache.stats().backInvalidations, ref.backInvalidations);
+}
+
+class CacheFuzz : public ::testing::TestWithParam<FuzzConfig>
+{
+};
+
+TEST_P(CacheFuzz, AgreesWithReference)
+{
+    fuzzAgainstReference(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -171,7 +204,19 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzConfig{3, 32 * 1024, 8, 4096},
         FuzzConfig{4, 256 * 1024, 16, 8192},
         FuzzConfig{5, 4096, 64, 128},       // fully-associative set
-        FuzzConfig{6, 64 * 1024, 2, 100'000}));
+        FuzzConfig{6, 64 * 1024, 2, 100'000},
+        // Non-power-of-two set counts take the fastmod set index.
+        // Broadwell's LLC shape (20-way, 28672 sets) at 1/1024 size.
+        FuzzConfig{8, 28 * 20 * 64, 20, 1200},
+        FuzzConfig{9, 3 * 4 * 64, 4, 40}));      // 3 sets
+
+TEST(CacheFuzzLarge, SkylakeLlcAgreesWithReference)
+{
+    // Skylake's LLC (27.5 MiB, 11-way: 40960 sets), with the draws
+    // crowded into 8 sets at line addresses above 2^56.
+    fuzzAgainstReference({7, 28'835'840, 11, 160}, 40960 / 8 * 3,
+                         1ull << 56);
+}
 
 } // namespace
 } // namespace recperf

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/logging.hh"
 #include "simcache/cache.hh"
@@ -19,6 +20,19 @@ TEST(Cache, GeometryValidation)
     EXPECT_EQ(c.numSets(), 64u * 1024 / 64 / 8);
     EXPECT_EQ(c.lineBytes(), 64u);
     EXPECT_THROW(Cache("bad", 1000, 8), PanicError); // not divisible
+    // Line sizes must be powers of two (shift-based line addressing);
+    // the panic names the offending cache.
+    try {
+        Cache("odd-line", 96 * 8 * 4, 8, 96);
+        ADD_FAILURE() << "96 B lines accepted";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("odd-line"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(Cache("one-byte", 64, 8, 1), PanicError);
+    // Non-power-of-two set counts are fine (Skylake's LLC has 40960).
+    Cache llc("llc", static_cast<uint64_t>(27.5 * 1024 * 1024), 11);
+    EXPECT_EQ(llc.numSets(), 40960u);
 }
 
 TEST(Cache, MissOnEmpty)

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/logging.hh"
 #include "core/rng.hh"
+#include "machine/machine_spec.hh"
 #include "simcache/hierarchy.hh"
+#include "trace/id_generator.hh"
 
 namespace recperf {
 namespace {
@@ -180,6 +185,16 @@ TEST(Hierarchy, InvalidCoreAccessPanics)
     EXPECT_THROW(h.access(2, 0), PanicError);
 }
 
+TEST(Hierarchy, HostPrefetchHasNoModelEffect)
+{
+    auto h = makeHier(InclusionPolicy::Inclusive, 2);
+    h.hostPrefetch(0, 4096);
+    EXPECT_EQ(h.l3().occupancy(), 0u);
+    EXPECT_EQ(h.counters().l3.accesses, 0u);
+    EXPECT_EQ(h.access(0, 4096), HitLevel::Memory);
+    EXPECT_THROW(h.hostPrefetch(2, 0), PanicError);
+}
+
 /** Property: the inclusion invariant holds under random traffic. */
 class InclusionProperty : public ::testing::TestWithParam<uint64_t>
 {
@@ -255,6 +270,117 @@ TEST(Hierarchy, HitRateMonotoneInLlcSize)
         EXPECT_LE(misses, prev_misses) << "LLC " << llc_kb << " KB";
         prev_misses = misses;
     }
+}
+
+/** 64-bit FNV-1a, fed one little-endian value at a time. */
+class Fnv1a
+{
+  public:
+    void
+    add(uint64_t value, int bytes)
+    {
+        for (int b = 0; b < bytes; ++b) {
+            hash_ ^= (value >> (8 * b)) & 0xff;
+            hash_ *= 0x100000001b3ULL;
+        }
+    }
+
+    void
+    add(const CacheStats &s)
+    {
+        for (uint64_t v : {s.accesses, s.hits, s.misses, s.evictions,
+                           s.backInvalidations})
+            add(v, 8);
+    }
+
+    uint64_t value() const { return hash_; }
+
+  private:
+    uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct OracleResult
+{
+    uint64_t hash;
+    HierarchyCounters counters;
+};
+
+/**
+ * Play a fixed-seed RMC1-shaped stream through @p machine's hierarchy
+ * and hash every access's HitLevel, then the final counters. Each
+ * tenant owns four tables of 128 B rows, each drawn through
+ * RepeatGen(0.5, 32768): one hot table (Zipf 1.1 over 200k rows) whose
+ * lines live in the private caches, and three cold ones (Zipf 0.6 over
+ * 2M rows) that churn the LLC. Tenants and tables take turns row by
+ * row.
+ */
+OracleResult
+playOracleStream(const MachineSpec &machine, uint32_t tenants, int rows)
+{
+    constexpr int kTables = 4;
+    constexpr uint64_t kRowBytes = 128;
+    auto hier = machine.makeHierarchy(tenants);
+    Rng rng(2020);
+    const TraceProfile hot{"hot", 1.1, 0.5, 32768};
+    const TraceProfile cold{"cold", 0.6, 0.5, 32768};
+    std::vector<std::vector<std::unique_ptr<IdGenerator>>> gens(tenants);
+    for (auto &tenant_gens : gens) {
+        for (int t = 0; t < kTables; ++t) {
+            tenant_gens.push_back(
+                t == 0 ? makeGenerator(hot, 200'000, rng.split())
+                           : makeGenerator(cold, 2'000'000, rng.split()));
+        }
+    }
+
+    Fnv1a fnv;
+    for (int i = 0; i < rows; ++i) {
+        const uint32_t core = static_cast<uint32_t>(i) % tenants;
+        const int table = (i / static_cast<int>(tenants)) % kTables;
+        const uint64_t base = (static_cast<uint64_t>(core) << 40) +
+            (static_cast<uint64_t>(table + 1) << 36);
+        const uint64_t row =
+            static_cast<uint64_t>(gens[core][table]->next());
+        for (uint64_t off = 0; off < kRowBytes; off += 64) {
+            HitLevel level = hier->access(core, base + row * kRowBytes + off);
+            fnv.add(static_cast<uint64_t>(level), 1);
+        }
+    }
+    const HierarchyCounters c = hier->counters();
+    fnv.add(c.l1);
+    fnv.add(c.l2);
+    fnv.add(c.l3);
+    return {fnv.value(), c};
+}
+
+// Golden hit-level oracles. The constants were recorded with the
+// original Cache (one std::vector<Line> per set) before it was
+// rewritten as a flat struct-of-arrays; they pin the exact HitLevel
+// sequence and counters. Never re-record them to make a change pass:
+// a mismatch means the simulated hit/miss stream moved.
+
+TEST(HierarchyOracle, SkylakeExclusiveOneTenant)
+{
+    OracleResult r = playOracleStream(skylake(), 1, 400'000);
+    EXPECT_GT(r.counters.l3.hits, 0u);
+    EXPECT_GT(r.counters.l3.evictions, 0u);
+    EXPECT_EQ(r.hash, 0x6df1f4ca02252ff3ULL) << std::hex << r.hash;
+}
+
+TEST(HierarchyOracle, BroadwellInclusiveFourTenants)
+{
+    OracleResult r = playOracleStream(broadwell(), 4, 1'200'000);
+    // The stream must overflow the LLC so back-invalidation runs.
+    EXPECT_GT(r.counters.l2.backInvalidations +
+                  r.counters.l1.backInvalidations, 0u);
+    EXPECT_EQ(r.hash, 0x6115b8d6820ce4daULL) << std::hex << r.hash;
+}
+
+TEST(HierarchyOracle, SkylakeNextLinePrefetch)
+{
+    MachineSpec m = skylake();
+    m.prefetch.nextLine = true;
+    OracleResult r = playOracleStream(m, 1, 200'000);
+    EXPECT_EQ(r.hash, 0xf8fc37d8e99f7a36ULL) << std::hex << r.hash;
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <map>
 #include <string>
 
@@ -133,6 +134,64 @@ TEST(RepeatGen, ZeroWindowRejected)
     EXPECT_THROW(RepeatGen(std::make_unique<UniformGen>(10, Rng(1)), 1.0, 8,
                            Rng(2)),
                  PanicError);
+}
+
+/**
+ * Reference RepeatGen: the original std::deque history, kept verbatim
+ * as an oracle for the ring-buffer implementation's draw sequence.
+ */
+class DequeRepeatGen
+{
+  public:
+    DequeRepeatGen(std::unique_ptr<IdGenerator> base, double repeat_prob,
+                   size_t window, Rng rng)
+        : base_(std::move(base)), repeat_prob_(repeat_prob),
+          window_(window), rng_(rng)
+    {
+    }
+
+    int64_t
+    next()
+    {
+        int64_t id;
+        if (!history_.empty() && rng_.nextBool(repeat_prob_)) {
+            size_t idx =
+                static_cast<size_t>(rng_.nextBelow(history_.size()));
+            id = history_[idx];
+        } else {
+            id = base_->next();
+        }
+        history_.push_back(id);
+        if (history_.size() > window_)
+            history_.pop_front();
+        return id;
+    }
+
+  private:
+    std::unique_ptr<IdGenerator> base_;
+    double repeat_prob_;
+    size_t window_;
+    Rng rng_;
+    std::deque<int64_t> history_;
+};
+
+TEST(RepeatGen, RingBufferMatchesDequeReference)
+{
+    for (size_t window : {size_t{1}, size_t{7}, size_t{32768}}) {
+        for (double p : {0.5, 0.93}) {
+            RepeatGen gen(std::make_unique<ZipfGen>(1'000'000, 1.05, Rng(21)),
+                          p, window, Rng(22));
+            DequeRepeatGen ref(
+                std::make_unique<ZipfGen>(1'000'000, 1.05, Rng(21)), p,
+                window, Rng(22));
+            // Several windows' worth of draws, so the ring wraps.
+            const size_t n = 4 * window + 1000;
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(gen.next(), ref.next())
+                    << "window " << window << " p " << p << " draw " << i;
+            }
+        }
+    }
 }
 
 TEST(RepeatGen, UniqueFractionTracksRepeatProb)
