@@ -10,9 +10,8 @@
  * ComputeBackend owns both planes of that comparison:
  *
  *  - the *execution* plane: every op that runs real kernels (gemmBt,
- *    SLS, quantized SLS — and BMM/conv/LSTM, which all route through
- *    gemmBt) fetches its tuned kernel entry through the registered
- *    backend instead of touching KernelCache directly;
+ *    SLS, quantized SLS) fetches its tuned kernel entry through the
+ *    registered backend instead of touching KernelCache directly;
  *  - the *timing* plane: every OpTiming producer the ModelTimer used
  *    to own (FC residency model, simulated-cache SLS gather, concat /
  *    batch-MM / activation) is a backend method, so a backend can

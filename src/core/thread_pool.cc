@@ -150,7 +150,7 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
         return;
     // Inline paths: a 1-thread pool and a range that fits one grain
     // run fn directly WITHOUT marking a region, so a nested
-    // parallelFor inside fn (e.g. gemmBt under a batch-1 BatchMatMul)
+    // parallelFor inside fn (e.g. a gemmBt called for a batch of one)
     // can still use the pool. Only genuinely nested calls inline with
     // parallelism suppressed.
     if (t_in_parallel_region) {

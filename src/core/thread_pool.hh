@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared worker pool and the parallelFor primitive behind every
- * parallel kernel (FC GEMM panels, SLS slot fan-out, BatchMatMul,
+ * parallel kernel (FC GEMM panels, SLS slot fan-out, dot interaction,
  * inter-op table scheduling).
  *
  * Design constraints, in order:
@@ -12,7 +12,7 @@
  *  2. Safe nesting — a parallelFor issued from inside a parallel
  *     region (pool worker or re-entrant caller) runs inline on the
  *     issuing thread, so ops can parallelize unconditionally and
- *     compose (e.g. BatchMatMul over batch calling gemmBt).
+ *     compose (e.g. the table fan-out calling SLS's slot fan-out).
  *  3. Low overhead — one atomic fetch-add per chunk, caller
  *     participates as a worker, and tiny ranges never touch the pool.
  */

@@ -68,9 +68,8 @@ std::vector<ModelConfig> allZooModels();
 ModelConfig rmc1PaperExample();
 
 /**
- * MLPerf-NCF baseline approximated in ModelConfig form for the
- * characterization comparisons of Fig 12 (the faithful functional
- * implementation lives in model/ncf.hh).
+ * MLPerf-NCF (NeuMF on MovieLens-20m) in ModelConfig form, the timing
+ * model's comparator for Fig 12.
  */
 ModelConfig ncfConfig();
 

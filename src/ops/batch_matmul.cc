@@ -5,46 +5,8 @@
 #include "core/logging.hh"
 #include "core/thread_pool.hh"
 #include "obs/trace.hh"
-#include "ops/fully_connected.hh"
 
 namespace recperf {
-
-Tensor
-batchMatMulBt(const Tensor &a, const Tensor &b)
-{
-    obs::Tracer::Scope trace(obs::Tracer::global(), "op", "batchMatMulBt");
-    RP_ASSERT(a.rank() == 3 && b.rank() == 3,
-              "batchMatMul operands must be rank 3, got %s and %s",
-              shapeToString(a.shape()).c_str(),
-              shapeToString(b.shape()).c_str());
-    RP_ASSERT(a.dim(0) == b.dim(0) && a.dim(2) == b.dim(2),
-              "batchMatMul shape mismatch %s x %s",
-              shapeToString(a.shape()).c_str(),
-              shapeToString(b.shape()).c_str());
-
-    int64_t batch = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(1);
-    Tensor c({batch, m, n});
-    if (batch >= globalThreadCount()) {
-        // Enough independent matmuls to feed every thread: go
-        // inter-op. The nested gemmBt calls detect the surrounding
-        // region and run inline, so the kernel per item is the serial
-        // one — bitwise-identical either way.
-        parallelFor(0, batch, 1, [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-                gemmBt(a.data() + i * m * k, b.data() + i * n * k,
-                       c.data() + i * m * n, m, n, k,
-                       /*accumulate=*/false);
-            }
-        });
-    } else {
-        // Few large matmuls: let each gemmBt parallelize over rows.
-        for (int64_t i = 0; i < batch; ++i) {
-            gemmBt(a.data() + i * m * k, b.data() + i * n * k,
-                   c.data() + i * m * n, m, n, k, /*accumulate=*/false);
-        }
-    }
-    return c;
-}
 
 Tensor
 dotInteraction(const Tensor &features)
@@ -79,20 +41,6 @@ dotInteraction(const Tensor &features)
         }
     });
     return out;
-}
-
-OpCost
-batchMatMulCost(int64_t batch, int64_t m, int64_t n, int64_t k)
-{
-    OpCost c;
-    c.flops = 2.0 * static_cast<double>(batch) * static_cast<double>(m) *
-        static_cast<double>(n) * static_cast<double>(k);
-    c.bytesRead = sizeof(float) * static_cast<double>(batch) *
-        (static_cast<double>(m) * static_cast<double>(k) +
-         static_cast<double>(n) * static_cast<double>(k));
-    c.bytesWritten = sizeof(float) * static_cast<double>(batch) *
-        static_cast<double>(m) * static_cast<double>(n);
-    return c;
 }
 
 } // namespace recperf

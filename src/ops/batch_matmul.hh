@@ -1,6 +1,6 @@
 /**
  * @file
- * Batched matrix multiply, used for pairwise feature interaction.
+ * Pairwise dot-product feature interaction.
  *
  * DLRM-style models interact the pooled embedding vectors and the
  * Bottom-FC output by stacking them into Z of shape [batch, f, d] and
@@ -11,19 +11,9 @@
 #ifndef RECPERF_OPS_BATCH_MATMUL_HH
 #define RECPERF_OPS_BATCH_MATMUL_HH
 
-#include "ops/op_cost.hh"
 #include "tensor/tensor.hh"
 
 namespace recperf {
-
-/**
- * C[b] = A[b] * B[b]^T for every batch element b.
- *
- * @param a tensor of shape [batch, m, k].
- * @param b tensor of shape [batch, n, k] (transposed operand).
- * @return tensor of shape [batch, m, n].
- */
-Tensor batchMatMulBt(const Tensor &a, const Tensor &b);
 
 /**
  * Pairwise dot-product interaction: given features [batch, f, d],
@@ -31,9 +21,6 @@ Tensor batchMatMulBt(const Tensor &a, const Tensor &b);
  * [batch, f*(f-1)/2]. This is DLRM's "dot" interaction.
  */
 Tensor dotInteraction(const Tensor &features);
-
-/** Work accounting for batchMatMulBt. */
-OpCost batchMatMulCost(int64_t batch, int64_t m, int64_t n, int64_t k);
 
 } // namespace recperf
 

@@ -62,7 +62,7 @@ class FullyConnected
 };
 
 /**
- * Standalone blocked GEMM used by FullyConnected and BatchMatMul:
+ * Standalone blocked GEMM behind FullyConnected:
  * C[m, n] (+)= A[m, k] * B^T where B is stored as [n, k].
  *
  * @param accumulate when false, C is overwritten; when true, added into.

@@ -43,26 +43,5 @@ sparseLengthsSum(const Tensor &table, const std::vector<int64_t> &ids,
     return out;
 }
 
-Tensor
-batchMatMulBt(const Tensor &a, const Tensor &b)
-{
-    int64_t batch = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(1);
-    Tensor c({batch, m, n});
-    for (int64_t bi = 0; bi < batch; ++bi) {
-        for (int64_t i = 0; i < m; ++i) {
-            for (int64_t j = 0; j < n; ++j) {
-                double acc = 0.0;
-                for (int64_t p = 0; p < k; ++p) {
-                    acc += static_cast<double>(
-                               a.data()[(bi * m + i) * k + p]) *
-                        b.data()[(bi * n + j) * k + p];
-                }
-                c.data()[(bi * m + i) * n + j] = static_cast<float>(acc);
-            }
-        }
-    }
-    return c;
-}
-
 } // namespace reference
 } // namespace recperf

@@ -24,9 +24,6 @@ Tensor fullyConnected(const Tensor &x, const Tensor &w, const Tensor &b);
 Tensor sparseLengthsSum(const Tensor &table, const std::vector<int64_t> &ids,
                         const std::vector<int64_t> &lengths);
 
-/** Naive C[b] = A[b] * B[b]^T. */
-Tensor batchMatMulBt(const Tensor &a, const Tensor &b);
-
 } // namespace reference
 } // namespace recperf
 

@@ -34,7 +34,7 @@ std::string shapeToString(const Shape &shape);
  * Dense row-major fp32 tensor with owned, 64-byte-aligned storage.
  *
  * Supports ranks 0 through 4, which covers everything the
- * recommendation, NCF, and proxy models need.
+ * recommendation and proxy models need.
  */
 class Tensor
 {

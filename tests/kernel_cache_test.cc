@@ -20,7 +20,6 @@
 #include "model/rec_model.hh"
 #include "model/zoo.hh"
 #include "obs/metrics.hh"
-#include "ops/batch_matmul.hh"
 #include "ops/fully_connected.hh"
 #include "ops/kernel_cache.hh"
 #include "ops/microkernels.hh"
@@ -172,19 +171,32 @@ TEST_F(KernelCacheTest, SlsTunesOncePerShape)
 
 TEST_F(KernelCacheTest, ConcurrentFirstTouchTunesExactlyOnce)
 {
-    // batchMatMulBt with batch >= pool size fans the per-item gemmBt
-    // calls across the pool, so every worker first-touches the same
-    // (m, n, k) shape at once; the cache must tune it exactly once.
-    // The TSan CI leg runs this with RECPERF_THREADS=4.
+    // One gemmBt per item inside parallelFor, with more items than
+    // pool threads: every worker first-touches the same (m, n, k)
+    // shape at once; the cache must tune it exactly once. The TSan CI
+    // leg runs this with RECPERF_THREADS=4.
     setGlobalThreadCount(4);
     KernelCache &cache = KernelCache::global();
+    const int64_t items = 8, m = 6, n = 10, k = 20;
     Rng rng(17);
-    Tensor a = randomTensor({8, 6, 20}, rng);
-    Tensor b = randomTensor({8, 10, 20}, rng);
-    Tensor c = batchMatMulBt(a, b);
+    std::vector<Tensor> a, b, c;
+    for (int64_t i = 0; i < items; ++i) {
+        a.push_back(randomTensor({m, k}, rng));
+        b.push_back(randomTensor({n, k}, rng));
+        c.emplace_back(Shape{m, n});
+    }
+    parallelFor(0, items, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+            gemmBt(a[i].data(), b[i].data(), c[i].data(), m, n, k,
+                   /*accumulate=*/false);
+        }
+    });
     EXPECT_EQ(1u, cache.tuneCount());
-    Tensor want = reference::batchMatMulBt(a, b);
-    EXPECT_TRUE(c.allClose(want, 1e-4f));
+    Tensor zero_bias({n});
+    for (int64_t i = 0; i < items; ++i) {
+        Tensor want = reference::fullyConnected(a[i], b[i], zero_bias);
+        EXPECT_TRUE(c[i].allClose(want, 1e-4f)) << "item " << i;
+    }
 }
 
 TEST_F(KernelCacheTest, PinnedIsaBitwiseAcrossThreadCountsAndColdWarm)

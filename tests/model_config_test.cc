@@ -150,6 +150,27 @@ TEST(Zoo, NcfOrdersOfMagnitudeSmaller)
     EXPECT_NO_THROW(ncf.validate());
 }
 
+TEST(Ncf, ConfigApproximationConsistent)
+{
+    // ncfConfig() models NeuMF (He et al. 2017, the MLPerf-NCF
+    // reference) on MovieLens-20m as four uniform tables. Its embedding
+    // parameters must stay within 2x of the real model's parameter
+    // count: 138k users and 27k items, each with a 64-wide GMF and a
+    // 32-wide MLP embedding; MLP tower 2*32 -> 256 -> 128 -> 64; final
+    // layer over [GMF; MLP] = 64 + 64 -> 1.
+    const int64_t emb = (138'000 + 27'000) * (64 + 32);
+    const int64_t mlp = (2 * 32 * 256 + 256) + (256 * 128 + 128) +
+        (128 * 64 + 64);
+    const int64_t final_layer = (64 + 64) * 1 + 1;
+    const int64_t neumf = emb + mlp + final_layer;
+    ASSERT_EQ(neumf, 15'897'921);
+
+    double ratio = static_cast<double>(ncfConfig().embParamCount()) /
+        static_cast<double>(neumf);
+    EXPECT_GT(ratio, 0.5);
+    EXPECT_LT(ratio, 2.0);
+}
+
 TEST(ModelConfig, LookupsPerSample)
 {
     EXPECT_EQ(rmc1Small().lookupsPerSample(), 4 * 80);

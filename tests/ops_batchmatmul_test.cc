@@ -1,60 +1,15 @@
 /**
  * @file
- * Unit and property tests for BatchMatMul and the dot-product feature
- * interaction.
+ * Unit tests for the dot-product feature interaction.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/logging.hh"
 #include "core/rng.hh"
 #include "ops/batch_matmul.hh"
-#include "ops/reference.hh"
 
 namespace recperf {
 namespace {
-
-TEST(BatchMatMul, ShapeValidation)
-{
-    Tensor a({2, 3, 4}), b({2, 5, 4});
-    EXPECT_EQ(batchMatMulBt(a, b).shape(), (Shape{2, 3, 5}));
-
-    Tensor bad_batch({3, 3, 4});
-    EXPECT_THROW(batchMatMulBt(a, bad_batch), PanicError);
-    Tensor bad_k({2, 5, 7});
-    EXPECT_THROW(batchMatMulBt(a, bad_k), PanicError);
-    Tensor rank2({2, 3});
-    EXPECT_THROW(batchMatMulBt(a, rank2), PanicError);
-}
-
-TEST(BatchMatMul, TinyKnownCase)
-{
-    // A = [[1, 2]], B = [[3, 4]] per batch: C = [1*3 + 2*4] = [11].
-    Tensor a({1, 1, 2}), b({1, 1, 2});
-    a.at(static_cast<int64_t>(0)) = 1.0f;
-    a.at(static_cast<int64_t>(1)) = 2.0f;
-    b.at(static_cast<int64_t>(0)) = 3.0f;
-    b.at(static_cast<int64_t>(1)) = 4.0f;
-    Tensor c = batchMatMulBt(a, b);
-    EXPECT_FLOAT_EQ(c.at(static_cast<int64_t>(0)), 11.0f);
-}
-
-TEST(BatchMatMul, IndependentBatches)
-{
-    Rng rng(3);
-    Tensor a({2, 2, 3}), b({2, 2, 3});
-    a.fillUniform(rng, -1.0f, 1.0f);
-    b.fillUniform(rng, -1.0f, 1.0f);
-    Tensor c = batchMatMulBt(a, b);
-
-    // Batch 1 result must not depend on batch 0 contents.
-    Tensor a2 = a.reshaped(a.shape());
-    for (int64_t i = 0; i < 6; ++i)
-        a2.at(i) = 99.0f; // clobber batch 0
-    Tensor c2 = batchMatMulBt(a2, b);
-    for (int64_t i = 4; i < 8; ++i)
-        EXPECT_FLOAT_EQ(c.at(i), c2.at(i));
-}
 
 TEST(DotInteraction, PairCount)
 {
@@ -92,39 +47,6 @@ TEST(DotInteraction, SymmetricUnderFeatureScaling)
     for (int64_t i = 0; i < base.size(); ++i)
         EXPECT_NEAR(quad.at(i), 4.0f * base.at(i), 1e-4f);
 }
-
-TEST(BatchMatMulCost, ClosedForm)
-{
-    OpCost c = batchMatMulCost(2, 3, 5, 7);
-    EXPECT_DOUBLE_EQ(c.flops, 2.0 * 2 * 3 * 5 * 7);
-    EXPECT_DOUBLE_EQ(c.bytesRead, 4.0 * 2 * (3 * 7 + 5 * 7));
-    EXPECT_DOUBLE_EQ(c.bytesWritten, 4.0 * 2 * 3 * 5);
-}
-
-/** Property sweep: batched GEMM equals the naive reference. */
-class BmmSweep : public ::testing::TestWithParam<
-    std::tuple<int64_t, int64_t, int64_t, int64_t>>
-{
-};
-
-TEST_P(BmmSweep, MatchesReference)
-{
-    auto [batch, m, n, k] = GetParam();
-    Rng rng(static_cast<uint64_t>(batch * 73 + m * 31 + n * 7 + k));
-    Tensor a({batch, m, k}), b({batch, n, k});
-    a.fillUniform(rng, -1.0f, 1.0f);
-    b.fillUniform(rng, -1.0f, 1.0f);
-    Tensor got = batchMatMulBt(a, b);
-    Tensor want = reference::batchMatMulBt(a, b);
-    EXPECT_TRUE(got.allClose(want, 1e-4f));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, BmmSweep,
-    ::testing::Combine(::testing::Values<int64_t>(1, 4),
-                       ::testing::Values<int64_t>(1, 9, 33),
-                       ::testing::Values<int64_t>(1, 8, 17),
-                       ::testing::Values<int64_t>(1, 31, 64)));
 
 } // namespace
 } // namespace recperf

@@ -138,6 +138,39 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values<int64_t>(1, 7, 32, 129, 300),
         ::testing::Values<int64_t>(1, 5, 32, 257)));
 
+/**
+ * Property sweep over batches of ragged matmuls, C = A * B^T, each a
+ * gemmBt call checked against the naive FC reference with zero bias.
+ * Items of one batch share a shape, so all but the first run on the
+ * kernel-cache entry the first one tuned.
+ */
+class BmmSweep : public ::testing::TestWithParam<
+    std::tuple<int64_t, int64_t, int64_t, int64_t>>
+{
+};
+
+TEST_P(BmmSweep, MatchesReference)
+{
+    auto [batch, m, n, k] = GetParam();
+    Rng rng(static_cast<uint64_t>(batch * 73 + m * 31 + n * 7 + k));
+    Tensor zero_bias({n});
+    for (int64_t i = 0; i < batch; ++i) {
+        Tensor a({m, k}), b({n, k}), c({m, n});
+        a.fillUniform(rng, -1.0f, 1.0f);
+        b.fillUniform(rng, -1.0f, 1.0f);
+        gemmBt(a.data(), b.data(), c.data(), m, n, k, /*accumulate=*/false);
+        Tensor want = reference::fullyConnected(a, b, zero_bias);
+        EXPECT_TRUE(c.allClose(want, 1e-4f)) << "item " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, BmmSweep,
+    ::testing::Combine(::testing::Values<int64_t>(1, 4),
+                       ::testing::Values<int64_t>(1, 9, 33),
+                       ::testing::Values<int64_t>(1, 8, 17),
+                       ::testing::Values<int64_t>(1, 31, 64)));
+
 /** Odd, non-power-of-two, non-cache-line-aligned widths (§III-B). */
 class FcOddWidths : public ::testing::TestWithParam<int64_t>
 {

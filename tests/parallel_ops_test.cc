@@ -1,10 +1,10 @@
 /**
  * @file
  * Parallel-vs-serial bitwise-equality tests: every parallelized kernel
- * (FC GEMM, SparseLengthsSum, quantized SLS, BatchMatMul, dot
- * interaction, Conv2d, LSTM, full RecModel forward) must produce
- * outputs bitwise-identical to its 1-thread execution at every thread
- * count — the execution engine's determinism contract.
+ * (FC GEMM, SparseLengthsSum, quantized SLS, a batch of GEMMs fanned
+ * out by parallelFor, dot interaction, full RecModel forward) must
+ * produce outputs bitwise-identical to its 1-thread execution at every
+ * thread count — the execution engine's determinism contract.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +17,7 @@
 #include "model/rec_model.hh"
 #include "model/zoo.hh"
 #include "ops/batch_matmul.hh"
-#include "ops/conv.hh"
 #include "ops/fully_connected.hh"
-#include "ops/lstm.hh"
 #include "ops/quantized_embedding.hh"
 #include "ops/sparse_lengths_sum.hh"
 #include "tensor/tensor.hh"
@@ -150,14 +148,27 @@ TEST_F(ParallelOpsTest, QuantizedSlsBitwise)
 
 TEST_F(ParallelOpsTest, BatchMatMulBitwise)
 {
+    // One gemmBt per batch item inside parallelFor. A batch above one
+    // opens a parallel region, so each nested gemmBt runs the serial
+    // kernel inline; batch 1 runs unmarked and leaves gemmBt free to
+    // split its rows instead.
     Rng rng(15);
-    // batch >= threads exercises the inter-op path; batch 1 exercises
-    // the intra-op (row-parallel gemm) path.
+    const int64_t m = 33, n = 17, k = 129;
     for (int64_t batch : {1ll, 2ll, 16ll}) {
-        Tensor a({batch, 33, 129}), b({batch, 17, 129});
+        Tensor a({batch, m, k}), b({batch, n, k});
         a.fillUniform(rng, -1.0f, 1.0f);
         b.fillUniform(rng, -1.0f, 1.0f);
-        expectThreadInvariant([&] { return batchMatMulBt(a, b); });
+        expectThreadInvariant([&] {
+            Tensor c({batch, m, n});
+            parallelFor(0, batch, 1, [&](int64_t lo, int64_t hi) {
+                for (int64_t i = lo; i < hi; ++i) {
+                    gemmBt(a.data() + i * m * k, b.data() + i * n * k,
+                           c.data() + i * m * n, m, n, k,
+                           /*accumulate=*/false);
+                }
+            });
+            return c;
+        });
     }
 }
 
@@ -167,33 +178,6 @@ TEST_F(ParallelOpsTest, DotInteractionBitwise)
     Tensor features({67, 9, 32});
     features.fillUniform(rng, -1.0f, 1.0f);
     expectThreadInvariant([&] { return dotInteraction(features); });
-}
-
-TEST_F(ParallelOpsTest, Conv2dBitwise)
-{
-    Rng rng(17);
-    Conv2d conv(3, 8, 3, /*stride=*/1, /*padding=*/1, rng);
-    Tensor x({2, 3, 9, 9});
-    x.fillUniform(rng, -1.0f, 1.0f);
-    expectThreadInvariant([&] { return conv.forward(x); });
-}
-
-TEST_F(ParallelOpsTest, LstmSequenceBitwise)
-{
-    Rng rng(18);
-    LstmCell cell(24, 40, rng);
-    Tensor xs({6, 33, 24});
-    xs.fillUniform(rng, -1.0f, 1.0f);
-    expectThreadInvariant([&] {
-        LstmState s = cell.forwardSequence(xs, cell.initialState(33));
-        // Fold h and c into one tensor for the comparison.
-        Tensor both({2, 33, 40});
-        std::memcpy(both.data(), s.h.data(),
-                    static_cast<size_t>(s.h.size()) * sizeof(float));
-        std::memcpy(both.data() + s.h.size(), s.c.data(),
-                    static_cast<size_t>(s.c.size()) * sizeof(float));
-        return both;
-    });
 }
 
 TEST_F(ParallelOpsTest, RecModelForwardBitwise)
