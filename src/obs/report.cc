@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <set>
 
 #include "core/logging.hh"
@@ -11,6 +13,50 @@
 
 namespace recperf {
 namespace obs {
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += strprintf("\\u%04x", c);
+            else
+                out += c;
+        }
+    }
+    return out;
+}
+
+std::string
+jsonNumber(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    return buf;
+}
+
+bool
+writeTextFile(const std::string &path, const std::string &text,
+              const char *who)
+{
+    std::ofstream out(path);
+    if (!out) {
+        std::fprintf(stderr, "%s: cannot open %s for writing\n", who,
+                     path.c_str());
+        return false;
+    }
+    out << text;
+    return static_cast<bool>(out);
+}
 
 // --------------------------------------------------------------- parser
 

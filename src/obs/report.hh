@@ -13,6 +13,7 @@
  * The JSON reader is a deliberately small recursive-descent parser for
  * the subset our own writers emit (objects, arrays, strings, numbers,
  * booleans, null); it is exposed here so tests can parse artifacts too.
+ * The writers share the text helpers declared next to it.
  */
 
 #ifndef RECPERF_OBS_REPORT_HH
@@ -62,6 +63,19 @@ struct JsonValue
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &error);
+
+/** @p s escaped for the inside of a JSON string literal. */
+std::string jsonEscape(const std::string &s);
+
+/** @p v as a JSON number with nine significant digits ("%.9g"). */
+std::string jsonNumber(double v);
+
+/**
+ * Write @p text to @p path; on failure print "<who>: cannot open <path>
+ * for writing" to stderr and return false.
+ */
+bool writeTextFile(const std::string &path, const std::string &text,
+                   const char *who);
 
 /** Inputs to renderReport; empty strings mean "artifact not given". */
 struct ReportInputs

@@ -1,25 +1,12 @@
 #include "obs/timeseries.hh"
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 
 #include "obs/hw_counters.hh"
+#include "obs/report.hh"
 
 namespace recperf {
 namespace obs {
-
-namespace {
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-} // namespace
 
 TimeSeriesSampler &
 TimeSeriesSampler::global()
@@ -207,16 +194,16 @@ TimeSeriesSampler::toJsonl() const
     std::lock_guard<std::mutex> lock(mu_);
     std::string out;
     for (const TimeSeriesSample &s : ring_) {
-        out += "{\"t_s\": " + num(s.t);
+        out += "{\"t_s\": " + jsonNumber(s.t);
         out += ", \"items\": " + std::to_string(s.items);
         out += ", \"violations\": " + std::to_string(s.violations);
-        out += ", \"burn_short\": " + num(s.burnShort);
-        out += ", \"burn_long\": " + num(s.burnLong);
-        out += ", \"flops\": " + num(s.flops);
-        out += ", \"bytes_read\": " + num(s.bytesRead);
-        out += ", \"bytes_written\": " + num(s.bytesWritten);
+        out += ", \"burn_short\": " + jsonNumber(s.burnShort);
+        out += ", \"burn_long\": " + jsonNumber(s.burnLong);
+        out += ", \"flops\": " + jsonNumber(s.flops);
+        out += ", \"bytes_read\": " + jsonNumber(s.bytesRead);
+        out += ", \"bytes_written\": " + jsonNumber(s.bytesWritten);
         out += ", \"dram_lines\": " + std::to_string(s.dramLines);
-        out += ", \"llc_mpki\": " + num(s.llcMpki);
+        out += ", \"llc_mpki\": " + jsonNumber(s.llcMpki);
         out += "}\n";
     }
     return out;
@@ -225,14 +212,7 @@ TimeSeriesSampler::toJsonl() const
 bool
 TimeSeriesSampler::writeFile(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "timeseries: cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    out << toJsonl();
-    return static_cast<bool>(out);
+    return writeTextFile(path, toJsonl(), "timeseries");
 }
 
 void

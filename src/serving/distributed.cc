@@ -1,15 +1,14 @@
 #include "serving/distributed.hh"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "core/logging.hh"
 #include "core/stats.hh"
-#include "obs/hw_counters.hh"
-#include "obs/request_log.hh"
-#include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "sched/brownout.hh"
+#include "serving/run_window.hh"
 
 namespace recperf {
 
@@ -42,10 +41,84 @@ shardConfig(const ModelConfig &base, uint32_t shard, uint32_t num_shards)
     return cfg;
 }
 
+/** What the deadline leaves one shard attempt. */
+struct Attempt
+{
+    double start;     ///< virtual issue time
+    double remaining; ///< budget left at start (+inf without one)
+    double timeout;   ///< policy timeout clamped to the budget
+    bool hedgeFits;   ///< hedging is on and its delay fits the budget
+};
+
+/** How one shard attempt ended: retry (while attempts last), answered
+ *  (the body filled the outcome), or abandoned (cancel the fan-out). */
+enum class AttemptEnd { Retry, Resolved, Abandoned };
+
+/**
+ * The attempt loop both shard resolvers share. An attempt is abandoned
+ * on cancellation or an expired budget, and fails fast when the budget
+ * cannot cover a fresh attempt's p50; otherwise @p body runs it as
+ * `AttemptEnd body(const Attempt &, double &waited, Outcome &)`. Every
+ * retry pays the policy backoff; exhausting them fails the shard.
+ */
+template <typename Outcome, typename Ctx, typename Body>
+Outcome
+resolveAttempts(const RetryPolicy &retry, const HedgePolicy &hedge,
+                double hedge_delay, double now, const Ctx &ctx,
+                RunResult *result, Body &&body)
+{
+    const Deadline &dl = ctx.deadline;
+    double waited = 0.0;
+    // Request-record breakdown carried across attempts; the bodies
+    // stamp it without touching the elapsed arithmetic.
+    Outcome out;
+    for (int attempt = 0; attempt <= retry.maxRetries; ++attempt) {
+        double start = now + waited;
+        double remaining = dl.remaining(start);
+        AttemptEnd end;
+        if (ctx.cancelled() || dl.expired(start)) {
+            end = AttemptEnd::Abandoned;
+        } else if (dl.enabled() && remaining < ctx.freshP50) {
+            // Fail fast: not even a median-speed fresh attempt fits
+            // in what is left of the budget, so don't issue one.
+            ++result->deadlineFastFails;
+            end = AttemptEnd::Abandoned;
+        } else {
+            // The effective timeout is the policy timeout clamped to
+            // the remaining budget (+inf when neither bounds).
+            double timeout = dl.clampTimeout(retry.timeoutSeconds, start);
+            if (dl.enabled() && (retry.timeoutSeconds <= 0.0 ||
+                                 timeout < retry.timeoutSeconds))
+                out.deadlineClamped = true;
+            end = body(Attempt{start, remaining, timeout,
+                               hedge.enabled && hedge_delay < remaining},
+                       waited, out);
+        }
+        if (end == AttemptEnd::Resolved) {
+            out.ok = true;
+            out.retryWaitSeconds = waited;
+            return out;
+        }
+        if (end == AttemptEnd::Abandoned) {
+            ctx.cancel();
+            out.cancelled = true;
+            break;
+        }
+        if (attempt < retry.maxRetries) {
+            ++result->retries;
+            ++out.retries;
+            waited += retry.backoffBefore(attempt);
+        }
+    }
+    out.elapsed = waited;
+    out.retryWaitSeconds = waited;
+    return out;
+}
+
 } // namespace
 
 double
-ResilientShardedResult::availability() const
+RunResult::availability() const
 {
     uint64_t total = completed + failed + deadlineExpired;
     return total > 0 ? static_cast<double>(completed) /
@@ -53,10 +126,27 @@ ResilientShardedResult::availability() const
 }
 
 double
-ResilientShardedResult::goodput() const
+RunResult::goodput() const
 {
     return duration > 0.0 ? static_cast<double>(completed) / duration
                           : 0.0;
+}
+
+void
+RunResult::settle(const obs::RequestRecord &rec)
+{
+    using enum obs::RequestOutcome;
+    switch (rec.outcome) {
+      case Served:
+        latency.add(rec.latency);
+        ++completed;
+        break;
+      case Cancelled: ++deadlineExpired; break;
+      case Failed: ++failed; break;
+      default:
+        RP_PANIC("the shard path never settles a %s inference",
+                 obs::requestOutcomeName(rec.outcome));
+    }
 }
 
 ShardedInference::ShardedInference(const MachineSpec &machine,
@@ -77,10 +167,8 @@ ShardedInference::ShardedInference(const MachineSpec &machine,
     for (uint32_t s = 0; s < num_nodes; ++s) {
         TimerOptions opts = options_;
         opts.seed = options_.seed + 0x4000ull * (s + 1);
-        ModelConfig shard_cfg = shardConfig(config_, s, num_nodes);
-        shard_tables_.push_back(shard_cfg.emb.numTables);
         shard_timers_.push_back(std::make_unique<ModelTimer>(
-            machine_, shard_cfg, opts));
+            machine_, shardConfig(config_, s, num_nodes), opts));
     }
 
     // The aggregator runs everything except the embedding gathers; it
@@ -187,24 +275,21 @@ ShardedInference::run(const RunOptions &options)
     const bool replicated = options.replicas.has_value();
     RP_ASSERT(options.measureIters > 0,
               "need at least one measured iteration");
+    // Each validator returns "" or why its options are unusable.
+    std::vector<std::string> errors;
     if (replicated) {
-        std::string err = options.replicas->validate();
-        RP_ASSERT(err.empty(), "%s", err.c_str());
-        err = validateRetryPolicy(options.retry);
-        RP_ASSERT(err.empty(), "%s", err.c_str());
-        err = validateHedgePolicy(options.hedge, options.retry);
-        RP_ASSERT(err.empty(), "%s", err.c_str());
-        err = options.faults.validate();
-        RP_ASSERT(err.empty(), "%s", err.c_str());
+        errors = {options.replicas->validate(),
+                  validateRetryPolicy(options.retry),
+                  validateHedgePolicy(options.hedge, options.retry),
+                  options.faults.validate()};
     } else {
         RP_ASSERT(options.retry.maxRetries >= 0,
                   "maxRetries cannot be negative");
     }
-    std::string deadline_err =
-        validateDeadlineSeconds(options.deadlineSeconds);
-    RP_ASSERT(deadline_err.empty(), "%s", deadline_err.c_str());
-    std::string sdc_err = options.sdc.validate();
-    RP_ASSERT(sdc_err.empty(), "%s", sdc_err.c_str());
+    errors.push_back(validateDeadlineSeconds(options.deadlineSeconds));
+    errors.push_back(options.sdc.validate());
+    for (const std::string &err : errors)
+        RP_ASSERT(err.empty(), "%s", err.c_str());
 
     if (options.backend) {
         for (std::unique_ptr<ModelTimer> &timer : shard_timers_)
@@ -228,13 +313,8 @@ ShardedInference::run(const RunOptions &options)
         topo.shards = numNodes();
         topo.replicas = replicated ? options.replicas->replicas : 1;
         topo.embDim = config_.emb.embDim;
-        for (uint32_t s = 0; s < numNodes(); ++s) {
-            std::vector<int64_t> rows;
-            for (int64_t t = s; t < config_.emb.numTables;
-                 t += static_cast<int64_t>(numNodes()))
-                rows.push_back(config_.emb.rowsOf(t));
-            topo.tableRows.push_back(std::move(rows));
-        }
+        for (const std::unique_ptr<ModelTimer> &timer : shard_timers_)
+            topo.tableRows.push_back(timer->config().emb.tableRows);
         // Aggregator FC state, modeled as one row per output neuron
         // carrying the stack's average per-neuron parameter load.
         int64_t neurons = 0;
@@ -300,28 +380,12 @@ ShardedInference::run(const RunOptions &options)
     if (sdc)
         sdc->calibrate(fresh_p50, machine_.dram.streamGBps());
 
-    obs::Tracer &tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-        tracer.nameLane(0, "aggregator");
-        for (uint32_t s = 0; s < numNodes(); ++s)
-            tracer.nameLane(1 + s, strprintf("shard %u", s));
-        if (sdc)
-            sdc->setTracer(&tracer,
-                           static_cast<int>(numNodes()) + 1);
-    }
-
     // Measurement starts here: drop warm-up/calibration telemetry and
     // anchor the time-series cadence at virtual t = 0.
-    obs::HwTelemetry &telem = obs::HwTelemetry::global();
-    if (telem.enabled())
-        telem.reset();
-    obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
-    if (sampler.enabled())
-        sampler.reset();
-    obs::RequestLogger &rlog = obs::RequestLogger::global();
-    const bool rlog_on = rlog.enabled();
-    if (rlog_on)
-        rlog.reset();
+    RunWindow window("aggregator", "shard", numNodes());
+    obs::Tracer *tracer = window.tracer();
+    if (sdc && tracer)
+        sdc->setTracer(tracer, static_cast<int>(numNodes()) + 1);
 
     double now = 0.0;
     double sum_slowest = 0.0;
@@ -336,10 +400,10 @@ ShardedInference::run(const RunOptions &options)
         double elapsed_max = 0.0;
         bool ok = true;
         bool cancelled = false;
-        // Request-log accumulators: the critical (slowest-ok) shard's
-        // breakdown defines the latency phases; retry/hedge/breaker
-        // counts sum over every shard so they reconcile against the
-        // run's exported counters.
+        // Request-record accumulators: the critical (slowest-ok)
+        // shard's breakdown defines the latency phases; retry/hedge/
+        // breaker counts sum over every shard so they reconcile
+        // against the run's exported counters.
         ShardOutcome crit;
         int32_t crit_shard = -1;
         double crit_base_clean = 0.0;
@@ -365,7 +429,7 @@ ShardedInference::run(const RunOptions &options)
             ModelTiming shard_timing = shard_timers_[s]->run();
             double base = shard_timing.secondsByKind(OpKind::SLS);
             // The fault-free shard time, before the scrub slowdown:
-            // the request log charges the difference to the Scrub
+            // the request record charges the difference to the Scrub
             // phase instead of folding it into Service.
             double base_clean = base;
             if (sdc) {
@@ -389,31 +453,28 @@ ShardedInference::run(const RunOptions &options)
                 verify = sdc->onShardLookup(s, out.replica, now);
                 out.elapsed += verify;
             }
-            if (tracer.enabled()) {
-                tracer.span("shard", strprintf("sls s%u", s), now,
-                            now + out.elapsed, 1 + s,
-                            {{"ok", out.ok ? "true" : "false"},
-                             {"base_us",
-                              strprintf("%.3f", base * 1e6)}});
+            if (tracer) {
+                tracer->span("shard", strprintf("sls s%u", s), now,
+                             now + out.elapsed, 1 + s,
+                             {{"ok", out.ok ? "true" : "false"},
+                              {"base_us",
+                               strprintf("%.3f", base * 1e6)}});
             }
-            if (rlog_on) {
-                rl_retries += out.retries;
-                rl_hedges += out.hedges;
-                rl_hedge_wins += out.hedgeWins;
-                rl_breaker += out.breakerRejects;
-                rl_clamped = rl_clamped || out.deadlineClamped;
-                for (const OpTiming &op : shard_timing.ops)
-                    rl_offload +=
-                        static_cast<double>(op.transferBytes);
-                if (out.ok) {
-                    if (crit_shard < 0 || base_clean < min_clean)
-                        min_clean = base_clean;
-                    if (crit_shard < 0 || out.elapsed > crit.elapsed) {
-                        crit = out;
-                        crit_shard = static_cast<int32_t>(s);
-                        crit_base_clean = base_clean;
-                        crit_verify = verify;
-                    }
+            rl_retries += out.retries;
+            rl_hedges += out.hedges;
+            rl_hedge_wins += out.hedgeWins;
+            rl_breaker += out.breakerRejects;
+            rl_clamped = rl_clamped || out.deadlineClamped;
+            for (const OpTiming &op : shard_timing.ops)
+                rl_offload += static_cast<double>(op.transferBytes);
+            if (out.ok) {
+                if (crit_shard < 0 || base_clean < min_clean)
+                    min_clean = base_clean;
+                if (crit_shard < 0 || out.elapsed > crit.elapsed) {
+                    crit = out;
+                    crit_shard = static_cast<int32_t>(s);
+                    crit_base_clean = base_clean;
+                    crit_verify = verify;
                 }
             }
             elapsed_max = std::max(elapsed_max, out.elapsed);
@@ -426,36 +487,32 @@ ShardedInference::run(const RunOptions &options)
             else
                 ok = false;
         }
-        // Shared tag assembly for whichever record this inference
-        // emits (served, cancelled, or failed).
-        auto base_record = [&](obs::RequestOutcome outcome,
-                               double latency) {
-            obs::RequestRecord rec;
-            rec.id = static_cast<uint64_t>(i);
-            rec.arrival = issue;
-            rec.start = issue;
-            rec.finish = now;
-            rec.latency = latency;
-            rec.outcome = outcome;
-            rec.retries = static_cast<uint16_t>(
-                std::min<uint64_t>(rl_retries, UINT16_MAX));
-            rec.hedges = static_cast<uint16_t>(
-                std::min<uint64_t>(rl_hedges, UINT16_MAX));
-            rec.hedgeWins = static_cast<uint16_t>(
-                std::min<uint64_t>(rl_hedge_wins, UINT16_MAX));
-            rec.breakerRejects = static_cast<uint32_t>(
-                std::min<uint64_t>(rl_breaker, UINT32_MAX));
-            rec.deadlineClamped = rl_clamped;
-            rec.hedgeWon = crit.hedgeWon;
-            rec.criticalShard = crit_shard;
-            rec.replica = (replicated && crit_shard >= 0)
-                ? static_cast<int32_t>(crit.replica) : -1;
-            rec.healthEwma = static_cast<float>(crit.healthEwma);
-            rec.admissionEstimate = static_cast<float>(fresh_p50);
-            rec.batchItems = static_cast<uint32_t>(options_.batch);
-            rec.offloadBytes = rl_offload;
-            return rec;
+
+        obs::RequestRecord rec;
+        rec.id = static_cast<uint64_t>(i);
+        rec.arrival = issue;
+        rec.start = issue;
+        auto sat16 = [](uint64_t n) {
+            return static_cast<uint16_t>(std::min<uint64_t>(n, UINT16_MAX));
         };
+        rec.retries = sat16(rl_retries);
+        rec.hedges = sat16(rl_hedges);
+        rec.hedgeWins = sat16(rl_hedge_wins);
+        rec.breakerRejects = static_cast<uint32_t>(
+            std::min<uint64_t>(rl_breaker, UINT32_MAX));
+        rec.deadlineClamped = rl_clamped;
+        rec.hedgeWon = crit.hedgeWon;
+        rec.criticalShard = crit_shard;
+        rec.replica = (replicated && crit_shard >= 0)
+            ? static_cast<int32_t>(crit.replica) : -1;
+        rec.healthEwma = static_cast<float>(crit.healthEwma);
+        rec.admissionEstimate = static_cast<float>(fresh_p50);
+        rec.batchItems = static_cast<uint32_t>(options_.batch);
+        rec.offloadBytes = rl_offload;
+        auto ph = [&rec](obs::RequestPhase p) -> double & {
+            return rec.phase[static_cast<size_t>(p)];
+        };
+        std::optional<double> instant_at; // default: rec.finish
         if (cancelled) {
             // Deadline-shed: the aggregator never runs, the partial
             // shard work is wasted, and virtual time advances only by
@@ -463,65 +520,45 @@ ShardedInference::run(const RunOptions &options)
             // the budget — the cancellation point).
             if (sdc)
                 sdc->dropInference();
-            ++result.deadlineExpired;
             double consumed = ctx.deadline.enabled()
                 ? std::min(elapsed_max, ctx.deadline.budgetSeconds)
                 : elapsed_max;
             result.wastedSeconds += elapsed_max;
-            if (tracer.enabled()) {
-                tracer.instant("deadline", "cancelled", now + consumed,
-                               0);
-            }
             now += consumed;
-            sampler.observeItem(now, consumed, true);
-            if (rlog_on) {
-                obs::RequestRecord rec =
-                    base_record(obs::RequestOutcome::Cancelled,
-                                consumed);
-                rec.slaViolated = true;
-                // The abandoned fan-out's time is all spent waiting on
-                // shards; blame it on the retry lane.
-                rec.phase[static_cast<size_t>(
-                    obs::RequestPhase::Retry)] = consumed;
-                rlog.record(rec);
-            }
-            if (telem.enabled())
-                telem.emitCounters(tracer, now, 0);
-            sampler.tick(now);
-            continue;
-        }
-        ModelTiming agg = agg_timer_->run();
-        double agg_seconds =
-            agg.totalSeconds() - agg.secondsByKind(OpKind::SLS);
-        double network = networkSeconds(nullptr);
-
-        if (ok) {
-            double total = slowest + network + agg_seconds;
-            double guard_extra = 0.0;
-            if (sdc) {
-                // The aggregation boundary: output guards and canary
-                // bookkeeping decide whether this response escapes
-                // corrupted, serves degraded, or pays guard time.
-                SdcController::Boundary boundary =
-                    sdc->endInference(now + total);
-                guard_extra = boundary.extraSeconds;
-                total += boundary.extraSeconds;
-            }
-            if (tracer.enabled()) {
-                tracer.span("shard", "network", now + slowest,
-                            now + slowest + network, 0);
-                tracer.span("shard", "aggregate",
-                            now + slowest + network, now + total, 0);
-            }
-            result.latency.add(total);
-            ++result.completed;
-            sum_slowest += slowest;
-            sum_agg += agg_seconds;
-            now += total;
-            sampler.observeItem(now, total, false);
-            if (rlog_on) {
-                obs::RequestRecord rec =
-                    base_record(obs::RequestOutcome::Served, total);
+            rec.outcome = obs::RequestOutcome::Cancelled;
+            rec.latency = consumed;
+            rec.slaViolated = true;
+            // The abandoned fan-out's time is all spent waiting on
+            // shards; blame it on the retry lane.
+            ph(obs::RequestPhase::Retry) = consumed;
+        } else {
+            ModelTiming agg = agg_timer_->run();
+            double agg_seconds =
+                agg.totalSeconds() - agg.secondsByKind(OpKind::SLS);
+            double network = networkSeconds(nullptr);
+            if (ok) {
+                double total = slowest + network + agg_seconds;
+                double guard_extra = 0.0;
+                if (sdc) {
+                    // The aggregation boundary: output guards and
+                    // canary bookkeeping decide whether this response
+                    // escapes corrupted, serves degraded, or pays
+                    // guard time.
+                    SdcController::Boundary boundary =
+                        sdc->endInference(now + total);
+                    guard_extra = boundary.extraSeconds;
+                    total += boundary.extraSeconds;
+                }
+                if (tracer) {
+                    tracer->span("shard", "network", now + slowest,
+                                 now + slowest + network, 0);
+                    tracer->span("shard", "aggregate",
+                                 now + slowest + network, now + total, 0);
+                }
+                sum_slowest += slowest;
+                sum_agg += agg_seconds;
+                now += total;
+                rec.latency = total;
                 // Decompose the critical shard's elapsed time:
                 //  - Service: the fault-free minimum shard time (the
                 //    floor every fan-out pays);
@@ -530,13 +567,13 @@ ShardedInference::run(const RunOptions &options)
                 //  - Scrub: scrubber slowdown + inline verification +
                 //    the aggregation boundary's guard time;
                 //  - Retry/Hedge/Warmup: the critical shard's waits.
-                auto ph = [&rec](obs::RequestPhase p) -> double & {
-                    return rec.phase[static_cast<size_t>(p)];
-                };
                 ph(obs::RequestPhase::Service) = min_clean;
-                ph(obs::RequestPhase::ShardStraggler) =
-                    (crit_base_clean - min_clean) +
-                    crit.stragglerSeconds;
+                // Peeling warm-up and hedge delay off the winner's time
+                // can round a clean winner's excess to -1e-21; a phase
+                // is a duration, so it floors at zero.
+                ph(obs::RequestPhase::ShardStraggler) = std::max(
+                    0.0,
+                    (crit_base_clean - min_clean) + crit.stragglerSeconds);
                 ph(obs::RequestPhase::Retry) = crit.retryWaitSeconds;
                 ph(obs::RequestPhase::Hedge) = crit.hedgeWaitSeconds;
                 ph(obs::RequestPhase::Warmup) = crit.warmupSeconds;
@@ -545,40 +582,30 @@ ShardedInference::run(const RunOptions &options)
                     crit_verify + guard_extra;
                 ph(obs::RequestPhase::Network) = network;
                 ph(obs::RequestPhase::Aggregate) = agg_seconds;
-                rlog.record(rec);
-            }
-        } else {
-            // The aggregator abandons the inference once the slowest
-            // shard exhausts its retries; no result is produced.
-            if (sdc)
-                sdc->dropInference();
-            ++result.failed;
-            result.wastedSeconds += agg_seconds;
-            if (tracer.enabled()) {
-                tracer.instant("shard", "inference_failed",
-                               now + elapsed_max, 0);
-            }
-            now += elapsed_max + network;
-            sampler.observeItem(now, elapsed_max + network, true);
-            if (rlog_on) {
-                obs::RequestRecord rec =
-                    base_record(obs::RequestOutcome::Failed,
-                                elapsed_max + network);
+            } else {
+                // The aggregator abandons the inference once the
+                // slowest shard exhausts its retries; no result is
+                // produced. The failure instant marks that moment,
+                // before the network hop.
+                if (sdc)
+                    sdc->dropInference();
+                result.wastedSeconds += agg_seconds;
+                instant_at = now + elapsed_max;
+                now += elapsed_max + network;
+                rec.outcome = obs::RequestOutcome::Failed;
+                rec.latency = elapsed_max + network;
                 rec.slaViolated = true;
                 // Retries were exhausted: the whole shard wait is the
                 // retry lane's fault; the network hop still happened.
-                rec.phase[static_cast<size_t>(
-                    obs::RequestPhase::Retry)] = elapsed_max;
-                rec.phase[static_cast<size_t>(
-                    obs::RequestPhase::Network)] = network;
-                rlog.record(rec);
+                ph(obs::RequestPhase::Retry) = elapsed_max;
+                ph(obs::RequestPhase::Network) = network;
             }
         }
+        rec.finish = now;
+        window.settle(rec, result, 0, instant_at);
         // `now` only moves forward, so the counter tracks carry
         // monotone virtual timestamps.
-        if (telem.enabled())
-            telem.emitCounters(tracer, now, 0);
-        sampler.tick(now);
+        window.tick(now);
     }
     result.duration = now;
 
@@ -615,7 +642,8 @@ ShardedInference::shardNetworkBytes(uint32_t shard) const
     if (numNodes() <= 1)
         return 0.0;
     return static_cast<double>(options_.batch) *
-        static_cast<double>(shard_tables_.at(shard)) *
+        static_cast<double>(
+            shard_timers_.at(shard)->config().emb.numTables) *
         static_cast<double>(config_.emb.embDim) * 4.0;
 }
 
@@ -644,117 +672,72 @@ ShardedInference::resolveShard(FaultInjector &injector,
                                double base_seconds, double now,
                                const DeadlineCtx &ctx,
                                const SdcController *sdc,
-                               ResilientShardedResult *result)
+                               RunResult *result)
 {
-    const Deadline &dl = ctx.deadline;
-    double waited = 0.0;
-    int max_attempts = retry.maxRetries + 1;
-    // Request-log breakdown carried across attempts; every return
-    // site stamps it onto the outcome without touching the elapsed
-    // arithmetic.
-    ShardOutcome out;
-    auto abandoned = [&](bool was_cancelled) {
-        out.elapsed = waited;
-        out.ok = false;
-        out.cancelled = was_cancelled;
-        out.retryWaitSeconds = waited;
-        return out;
-    };
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-        double t_start = now + waited;
-        if (ctx.cancelled() || dl.expired(t_start)) {
-            ctx.cancel();
-            return abandoned(true);
-        }
-        double remaining = dl.remaining(t_start);
-        if (dl.enabled() && remaining < ctx.freshP50) {
-            // Fail fast: not even a median-speed fresh attempt fits
-            // in what is left of the budget, so don't issue one.
-            ++result->deadlineFastFails;
-            ctx.cancel();
-            return abandoned(true);
-        }
-        // Every attempt's effective timeout is the policy timeout
-        // clamped to the remaining budget (+inf when neither bounds).
-        double timeout = dl.clampTimeout(retry.timeoutSeconds, t_start);
-        if (dl.enabled() &&
-            (retry.timeoutSeconds <= 0.0 ||
-             timeout < retry.timeoutSeconds))
-            out.deadlineClamped = true;
-        bool hedge_fits = hedge.enabled && hedge_delay < remaining;
+    auto body = [&](const Attempt &a, double &waited, ShardOutcome &out) {
         // A replica mid-rehydrate is out of rotation: the single-copy
         // path sees it exactly like a transient down window.
         bool drained =
-            sdc != nullptr && sdc->replicaDrained(shard, 0, t_start);
-        if (drained || !injector.shardUp(shard, t_start)) {
+            sdc != nullptr && sdc->replicaDrained(shard, 0, a.start);
+        if (drained || !injector.shardUp(shard, a.start)) {
             ++result->shardDownEncounters;
-            if (hedge_fits) {
+            if (a.hedgeFits) {
                 // The hedge goes to a replica node, so it rescues the
                 // request even while the primary shard is down.
                 double hedged = base_seconds *
-                    injector.serviceMultiplier(t_start + hedge_delay);
+                    injector.serviceMultiplier(a.start + hedge_delay);
                 ++result->hedgesIssued;
                 ++result->hedgeWins;
                 result->hedgeExtraSeconds += hedged;
                 result->hedgeExtraBytes += shardNetworkBytes(shard);
                 out.elapsed = waited + hedge_delay + hedged;
-                out.ok = true;
-                out.retryWaitSeconds = waited;
                 out.hedgeWaitSeconds = hedge_delay;
                 out.serviceSeconds = base_seconds;
                 out.stragglerSeconds = hedged - base_seconds;
                 ++out.hedges;
                 ++out.hedgeWins;
                 out.hedgeWon = true;
-                return out;
+                return AttemptEnd::Resolved;
             }
             result->wastedSeconds += retry.failFastSeconds;
             waited += retry.failFastSeconds;
+            return AttemptEnd::Retry;
+        }
+        double service = base_seconds * injector.serviceMultiplier(a.start);
+        bool hedge_won = false;
+        if (a.hedgeFits && service > hedge_delay) {
+            double hedged = hedge_delay + base_seconds *
+                injector.serviceMultiplier(a.start + hedge_delay);
+            ++result->hedgesIssued;
+            result->hedgeExtraSeconds += hedged - hedge_delay;
+            result->hedgeExtraBytes += shardNetworkBytes(shard);
+            ++out.hedges;
+            if (hedged < service) {
+                ++result->hedgeWins;
+                ++out.hedgeWins;
+                hedge_won = true;
+                service = hedged;
+            }
+        }
+        if (service > a.timeout) {
+            ++result->timeouts;
+            result->wastedSeconds += a.timeout;
+            waited += a.timeout;
+            return AttemptEnd::Retry;
+        }
+        out.elapsed = waited + service;
+        out.serviceSeconds = base_seconds;
+        if (hedge_won) {
+            out.hedgeWaitSeconds = hedge_delay;
+            out.stragglerSeconds = service - hedge_delay - base_seconds;
+            out.hedgeWon = true;
         } else {
-            double service = base_seconds *
-                injector.serviceMultiplier(t_start);
-            bool hedge_won = false;
-            if (hedge_fits && service > hedge_delay) {
-                double hedged = hedge_delay + base_seconds *
-                    injector.serviceMultiplier(t_start + hedge_delay);
-                ++result->hedgesIssued;
-                result->hedgeExtraSeconds += hedged - hedge_delay;
-                result->hedgeExtraBytes += shardNetworkBytes(shard);
-                ++out.hedges;
-                if (hedged < service) {
-                    ++result->hedgeWins;
-                    ++out.hedgeWins;
-                    hedge_won = true;
-                    service = hedged;
-                }
-            }
-            if (service > timeout) {
-                ++result->timeouts;
-                result->wastedSeconds += timeout;
-                waited += timeout;
-            } else {
-                out.elapsed = waited + service;
-                out.ok = true;
-                out.retryWaitSeconds = waited;
-                out.serviceSeconds = base_seconds;
-                if (hedge_won) {
-                    out.hedgeWaitSeconds = hedge_delay;
-                    out.stragglerSeconds =
-                        service - hedge_delay - base_seconds;
-                    out.hedgeWon = true;
-                } else {
-                    out.stragglerSeconds = service - base_seconds;
-                }
-                return out;
-            }
+            out.stragglerSeconds = service - base_seconds;
         }
-        if (attempt + 1 < max_attempts) {
-            ++result->retries;
-            ++out.retries;
-            waited += retry.backoffBefore(attempt);
-        }
-    }
-    return abandoned(false);
+        return AttemptEnd::Resolved;
+    };
+    return resolveAttempts<ShardOutcome>(retry, hedge, hedge_delay, now,
+                                         ctx, result, body);
 }
 
 ShardedInference::ShardOutcome
@@ -767,7 +750,7 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
                                     const ChaosSchedule *chaos,
                                     const DeadlineCtx &ctx,
                                     const SdcController *sdc,
-                                    ReplicatedShardedResult *result)
+                                    RunResult *result)
 {
     const Deadline &dl = ctx.deadline;
     // Replica r of shard s runs failure process s*R + r; scripted chaos
@@ -788,39 +771,9 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
         return chaos ? m * chaos->serviceFactor(t) : m;
     };
 
-    double waited = 0.0;
     int prev_error_replica = -1;
-    int max_attempts = retry.maxRetries + 1;
-    // Request-log breakdown carried across attempts; every return
-    // site stamps it onto the outcome without touching the elapsed
-    // arithmetic.
-    ShardOutcome out;
-    auto abandoned = [&](bool was_cancelled) {
-        out.elapsed = waited;
-        out.ok = false;
-        out.cancelled = was_cancelled;
-        out.retryWaitSeconds = waited;
-        return out;
-    };
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-        double t_start = now + waited;
-        if (ctx.cancelled() || dl.expired(t_start)) {
-            ctx.cancel();
-            return abandoned(true);
-        }
-        double remaining = dl.remaining(t_start);
-        if (dl.enabled() && remaining < ctx.freshP50) {
-            ++result->deadlineFastFails;
-            ctx.cancel();
-            return abandoned(true);
-        }
-        double timeout = dl.clampTimeout(retry.timeoutSeconds, t_start);
-        if (dl.enabled() &&
-            (retry.timeoutSeconds <= 0.0 ||
-             timeout < retry.timeoutSeconds))
-            out.deadlineClamped = true;
-        bool hedge_fits = hedge.enabled && hedge_delay < remaining;
-        ReplicaSet::Pick pick = set.route(t_start);
+    auto body = [&](const Attempt &a, double &waited, ShardOutcome &out) {
+        ReplicaSet::Pick pick = set.route(a.start);
         if (dl.enabled() && pick.replica >= 0) {
             // Skip replicas whose learned EWMA latency already exceeds
             // the remaining budget: prefer the router's alternate when
@@ -829,19 +782,17 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
             const HealthTracker &primary_health =
                 set.health(static_cast<uint32_t>(pick.replica));
             if (primary_health.successes() > 0 &&
-                primary_health.ewmaSeconds() > remaining) {
+                primary_health.ewmaSeconds() > a.remaining) {
                 bool alternate_fits = false;
                 if (pick.alternate >= 0) {
                     const HealthTracker &alt_health = set.health(
                         static_cast<uint32_t>(pick.alternate));
                     alternate_fits = alt_health.successes() == 0 ||
-                        alt_health.ewmaSeconds() <= remaining;
+                        alt_health.ewmaSeconds() <= a.remaining;
                 }
                 ++result->replicaSkips;
-                if (!alternate_fits) {
-                    ctx.cancel();
-                    return abandoned(true);
-                }
+                if (!alternate_fits)
+                    return AttemptEnd::Abandoned;
                 std::swap(pick.replica, pick.alternate);
             }
         }
@@ -853,136 +804,117 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
             ++out.breakerRejects;
             result->wastedSeconds += retry.failFastSeconds;
             waited += retry.failFastSeconds;
-        } else {
-            auto primary = static_cast<uint32_t>(pick.replica);
-            if (!replica_up(primary, t_start)) {
-                ++result->shardDownEncounters;
-                set.recordError(primary, t_start);
-                prev_error_replica = pick.replica;
-                // A down primary is rescued by hedging to the router's
-                // second-best replica — if one is admitted and alive.
-                if (hedge_fits && pick.alternate >= 0) {
-                    auto alt = static_cast<uint32_t>(pick.alternate);
-                    double t_hedge = t_start + hedge_delay;
-                    if (replica_up(alt, t_hedge)) {
-                        double warm = set.warmupMultiplier(alt, t_hedge);
-                        double hedged =
-                            base_seconds * multiplier(t_hedge) * warm;
-                        ++result->hedgesIssued;
-                        ++result->hedgeWins;
-                        ++result->failovers;
-                        result->hedgeExtraSeconds += hedged;
-                        result->hedgeExtraBytes +=
-                            shardNetworkBytes(shard);
-                        result->warmupPenaltySeconds +=
-                            hedged - hedged / warm;
-                        set.recordSuccess(alt, hedged, t_hedge);
-                        out.elapsed = waited + hedge_delay + hedged;
-                        out.ok = true;
-                        out.replica = alt;
-                        out.retryWaitSeconds = waited;
-                        out.hedgeWaitSeconds = hedge_delay;
-                        out.serviceSeconds = base_seconds;
-                        out.warmupSeconds = hedged - hedged / warm;
-                        out.stragglerSeconds =
-                            hedged / warm - base_seconds;
-                        ++out.hedges;
-                        ++out.hedgeWins;
-                        out.hedgeWon = true;
-                        out.healthEwma =
-                            set.health(alt).ewmaSeconds();
-                        return out;
-                    }
-                    ++result->shardDownEncounters;
-                    set.recordError(alt, t_hedge);
-                }
-                result->wastedSeconds += retry.failFastSeconds;
-                waited += retry.failFastSeconds;
-            } else {
-                double warm = set.warmupMultiplier(primary, t_start);
-                double service =
-                    base_seconds * multiplier(t_start) * warm;
-                double primary_service = service;
-                uint32_t winner = primary;
-                double win_warm = warm;
-                double win_body = service;
-                if (hedge_fits && service > hedge_delay &&
-                    pick.alternate >= 0) {
-                    auto alt = static_cast<uint32_t>(pick.alternate);
-                    double t_hedge = t_start + hedge_delay;
-                    if (replica_up(alt, t_hedge)) {
-                        double warm_alt =
-                            set.warmupMultiplier(alt, t_hedge);
-                        double alt_service =
-                            base_seconds * multiplier(t_hedge) * warm_alt;
-                        double hedged = hedge_delay + alt_service;
-                        ++result->hedgesIssued;
-                        result->hedgeExtraSeconds += alt_service;
-                        result->hedgeExtraBytes +=
-                            shardNetworkBytes(shard);
-                        ++out.hedges;
-                        set.recordSuccess(alt, alt_service, t_hedge);
-                        if (hedged < service) {
-                            ++result->hedgeWins;
-                            ++out.hedgeWins;
-                            result->warmupPenaltySeconds +=
-                                alt_service - alt_service / warm_alt;
-                            winner = alt;
-                            service = hedged;
-                            win_warm = warm_alt;
-                            win_body = alt_service;
-                        }
-                    } else {
-                        ++result->shardDownEncounters;
-                        set.recordError(alt, t_hedge);
-                    }
-                }
-                if (service > timeout) {
-                    ++result->timeouts;
-                    set.recordError(primary, t_start + timeout);
-                    prev_error_replica = static_cast<int>(primary);
-                    result->wastedSeconds += timeout;
-                    waited += timeout;
-                } else {
-                    // The primary did answer (even when the hedge beat
-                    // it), so its EWMA learns its own latency.
-                    set.recordSuccess(primary, primary_service, t_start);
-                    if (winner == primary) {
-                        result->warmupPenaltySeconds +=
-                            primary_service - primary_service / warm;
-                    }
-                    if (prev_error_replica >= 0 &&
-                        winner !=
-                            static_cast<uint32_t>(prev_error_replica))
-                        ++result->failovers;
-                    out.elapsed = waited + service;
-                    out.ok = true;
-                    out.replica = winner;
-                    out.retryWaitSeconds = waited;
+            return AttemptEnd::Retry;
+        }
+        auto primary = static_cast<uint32_t>(pick.replica);
+        if (!replica_up(primary, a.start)) {
+            ++result->shardDownEncounters;
+            set.recordError(primary, a.start);
+            prev_error_replica = pick.replica;
+            // A down primary is rescued by hedging to the router's
+            // second-best replica — if one is admitted and alive.
+            if (a.hedgeFits && pick.alternate >= 0) {
+                auto alt = static_cast<uint32_t>(pick.alternate);
+                double t_hedge = a.start + hedge_delay;
+                if (replica_up(alt, t_hedge)) {
+                    double warm = set.warmupMultiplier(alt, t_hedge);
+                    double hedged =
+                        base_seconds * multiplier(t_hedge) * warm;
+                    ++result->hedgesIssued;
+                    ++result->hedgeWins;
+                    ++result->failovers;
+                    result->hedgeExtraSeconds += hedged;
+                    result->hedgeExtraBytes += shardNetworkBytes(shard);
+                    result->warmupPenaltySeconds += hedged - hedged / warm;
+                    set.recordSuccess(alt, hedged, t_hedge);
+                    out.elapsed = waited + hedge_delay + hedged;
+                    out.replica = alt;
+                    out.hedgeWaitSeconds = hedge_delay;
                     out.serviceSeconds = base_seconds;
-                    // win_body = base * mult * warm of the winning
-                    // attempt; peel warm-up off the top, then the
-                    // fault excess, leaving the clean base.
-                    out.warmupSeconds = win_body - win_body / win_warm;
-                    out.stragglerSeconds =
-                        win_body / win_warm - base_seconds;
-                    if (winner != primary) {
-                        out.hedgeWaitSeconds = hedge_delay;
-                        out.hedgeWon = true;
-                    }
-                    out.healthEwma =
-                        set.health(winner).ewmaSeconds();
-                    return out;
+                    out.warmupSeconds = hedged - hedged / warm;
+                    out.stragglerSeconds = hedged / warm - base_seconds;
+                    ++out.hedges;
+                    ++out.hedgeWins;
+                    out.hedgeWon = true;
+                    out.healthEwma = set.health(alt).ewmaSeconds();
+                    return AttemptEnd::Resolved;
                 }
+                ++result->shardDownEncounters;
+                set.recordError(alt, t_hedge);
+            }
+            result->wastedSeconds += retry.failFastSeconds;
+            waited += retry.failFastSeconds;
+            return AttemptEnd::Retry;
+        }
+        double warm = set.warmupMultiplier(primary, a.start);
+        double service = base_seconds * multiplier(a.start) * warm;
+        double primary_service = service;
+        uint32_t winner = primary;
+        double win_warm = warm;
+        double win_body = service;
+        if (a.hedgeFits && service > hedge_delay && pick.alternate >= 0) {
+            auto alt = static_cast<uint32_t>(pick.alternate);
+            double t_hedge = a.start + hedge_delay;
+            if (replica_up(alt, t_hedge)) {
+                double warm_alt = set.warmupMultiplier(alt, t_hedge);
+                double alt_service =
+                    base_seconds * multiplier(t_hedge) * warm_alt;
+                double hedged = hedge_delay + alt_service;
+                ++result->hedgesIssued;
+                result->hedgeExtraSeconds += alt_service;
+                result->hedgeExtraBytes += shardNetworkBytes(shard);
+                ++out.hedges;
+                set.recordSuccess(alt, alt_service, t_hedge);
+                if (hedged < service) {
+                    ++result->hedgeWins;
+                    ++out.hedgeWins;
+                    result->warmupPenaltySeconds +=
+                        alt_service - alt_service / warm_alt;
+                    winner = alt;
+                    service = hedged;
+                    win_warm = warm_alt;
+                    win_body = alt_service;
+                }
+            } else {
+                ++result->shardDownEncounters;
+                set.recordError(alt, t_hedge);
             }
         }
-        if (attempt + 1 < max_attempts) {
-            ++result->retries;
-            ++out.retries;
-            waited += retry.backoffBefore(attempt);
+        if (service > a.timeout) {
+            ++result->timeouts;
+            set.recordError(primary, a.start + a.timeout);
+            prev_error_replica = static_cast<int>(primary);
+            result->wastedSeconds += a.timeout;
+            waited += a.timeout;
+            return AttemptEnd::Retry;
         }
-    }
-    return abandoned(false);
+        // The primary did answer (even when the hedge beat it), so its
+        // EWMA learns its own latency.
+        set.recordSuccess(primary, primary_service, a.start);
+        if (winner == primary) {
+            result->warmupPenaltySeconds +=
+                primary_service - primary_service / warm;
+        }
+        if (prev_error_replica >= 0 &&
+            winner != static_cast<uint32_t>(prev_error_replica))
+            ++result->failovers;
+        out.elapsed = waited + service;
+        out.replica = winner;
+        out.serviceSeconds = base_seconds;
+        // win_body = base * mult * warm of the winning attempt; peel
+        // warm-up off the top, then the fault excess, leaving the clean
+        // base.
+        out.warmupSeconds = win_body - win_body / win_warm;
+        out.stragglerSeconds = win_body / win_warm - base_seconds;
+        if (winner != primary) {
+            out.hedgeWaitSeconds = hedge_delay;
+            out.hedgeWon = true;
+        }
+        out.healthEwma = set.health(winner).ewmaSeconds();
+        return AttemptEnd::Resolved;
+    };
+    return resolveAttempts<ShardOutcome>(retry, hedge, hedge_delay, now,
+                                         ctx, result, body);
 }
 
 } // namespace recperf

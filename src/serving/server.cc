@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <queue>
 
 #include "core/logging.hh"
-#include "obs/hw_counters.hh"
-#include "obs/request_log.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "resilience/deadline.hh"
+#include "serving/run_window.hh"
 
 namespace recperf {
 
@@ -63,6 +63,24 @@ ServingStats::deadlineGoodput() const
 {
     return duration > 0.0
         ? static_cast<double>(deadlineMet) / duration : 0.0;
+}
+
+void
+ServingStats::settle(const obs::RequestRecord &rec)
+{
+    using enum obs::RequestOutcome;
+    switch (rec.outcome) {
+      case Served:
+        itemLatency.add(rec.latency);
+        ++(rec.slaViolated ? slaMissed : slaMet);
+        break;
+      case ShedAdmission: ++shedItems; break;
+      case ShedAdmissionDeadline: ++shedAdmissionDeadline; break;
+      case ShedDeadlineQueue: ++deadlineShedQueue; break;
+      case Cancelled: ++deadlineCancelled; break;
+      case DroppedLowPriority: ++droppedLowPriority; break;
+      case Failed: RP_PANIC("the serve path never fails an item");
+    }
 }
 
 void
@@ -402,28 +420,6 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
         }
     }
 
-    obs::Tracer &tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-        tracer.nameLane(0, "batching queue");
-        for (size_t w = 0; w < workers_.size(); ++w) {
-            tracer.nameLane(static_cast<uint32_t>(1 + w),
-                            strprintf("worker %zu", w));
-        }
-    }
-
-    // The measurement window starts here: drop constructor warm-up
-    // telemetry and anchor the time-series cadence at t = 0.
-    obs::HwTelemetry &telem = obs::HwTelemetry::global();
-    if (telem.enabled())
-        telem.reset();
-    obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
-    if (sampler.enabled())
-        sampler.reset();
-    obs::RequestLogger &rlog = obs::RequestLogger::global();
-    const bool rlog_on = rlog.enabled();
-    if (rlog_on)
-        rlog.reset();
-
     std::priority_queue<WorkerSlot, std::vector<WorkerSlot>,
                         std::greater<>> free_at;
     for (size_t w = 0; w < workers_.size(); ++w)
@@ -443,7 +439,8 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
     // Deadline machinery: every item carries the same relative budget
     // from its arrival. A private burn-rate sensor feeds the brownout
     // controller — private so its windows/budget can differ from the
-    // exported slo.* gauges, and so it sees shed/cancelled items too.
+    // exported slo.* gauges. It sees what the settlement table feeds
+    // the burn rate: served, deadline-shed and cancelled items.
     const bool deadline_on = options_.deadlineSeconds > 0.0;
     const double deadline_budget = options_.deadlineSeconds;
     obs::TimeSeriesSampler brown_sensor;
@@ -458,6 +455,13 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
         brown_sensor.configure(sensor_opts);
         brown_sensor.setEnabled(true);
     }
+
+    // The measurement window starts here: drop constructor warm-up
+    // telemetry and anchor the time-series cadence at t = 0.
+    RunWindow window("batching queue", "worker", workers_.size(),
+                     &brown_sensor);
+    obs::Tracer *tracer = window.tracer();
+
     // Recent per-batch service times; their p50 is the admission
     // estimate a deadline is checked against. Seeded by the warm-up
     // calibration until real batches accumulate.
@@ -465,32 +469,6 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
     auto service_p50 = [&]() {
         return recent_service.empty() ? warmServiceEstimate_
                                       : percentile(recent_service, 50.0);
-    };
-    auto observe_outcome = [&](double t, double latency, bool violated) {
-        sampler.observeItem(t, latency, violated);
-        brown_sensor.observeItem(t, latency, violated);
-    };
-    // One causal record per item that never reached a worker: all of
-    // its life was queue wait, so the phase vector is pure Queue and
-    // tiles the latency trivially.
-    auto shed_record = [&rlog](uint64_t id, double arrival, double at,
-                               obs::RequestOutcome outcome,
-                               bool violated, double estimate,
-                               BrownoutLevel lvl, bool was_degraded) {
-        obs::RequestRecord rec;
-        rec.id = id;
-        rec.arrival = arrival;
-        rec.start = at;
-        rec.finish = at;
-        rec.latency = at - arrival;
-        rec.outcome = outcome;
-        rec.slaViolated = violated;
-        rec.brownoutLevel = static_cast<uint8_t>(lvl);
-        rec.degraded = was_degraded;
-        rec.admissionEstimate = static_cast<float>(estimate);
-        rec.phase[static_cast<size_t>(obs::RequestPhase::Queue)] =
-            rec.latency;
-        rlog.record(rec);
     };
 
     ServingStats stats;
@@ -502,9 +480,8 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
         // batches, never admitting the remaining arrivals. Counters
         // stay exact because those items are not counted as offered.
         if (cancel_ && cancel_->cancelled()) {
-            if (tracer.enabled())
-                tracer.instant("deadline", "run_cancelled", last_finish,
-                               0);
+            if (tracer)
+                tracer->instant("deadline", "run_cancelled", last_finish, 0);
             break;
         }
         auto [t_free, w] = free_at.top();
@@ -540,8 +517,8 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
                     start, options_.brownout.longWindowSeconds));
             if (level != prev) {
                 ++stats.brownoutTransitions;
-                if (tracer.enabled()) {
-                    tracer.instant(
+                if (tracer) {
+                    tracer->instant(
                         "brownout", "level", start, 0,
                         {{"from",
                           strprintf("%d", static_cast<int>(prev))},
@@ -553,6 +530,22 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
 
         double service_estimate = service_p50();
 
+        // The tags every item of this formation instant carries; the
+        // caller adds the outcome and the phases that tile the latency.
+        auto item_record = [&](uint64_t id, double arrival,
+                               double finish) {
+            obs::RequestRecord rec;
+            rec.id = id;
+            rec.arrival = arrival;
+            rec.start = start;
+            rec.finish = finish;
+            rec.latency = finish - arrival;
+            rec.brownoutLevel = static_cast<uint8_t>(level);
+            rec.degraded = degraded;
+            rec.admissionEstimate = static_cast<float>(service_estimate);
+            return rec;
+        };
+
         // Form the batch, shedding and dropping as policy dictates.
         // An item arriving exactly at `start` has zero wait, so the
         // loop always consumes at least one item and terminates.
@@ -560,74 +553,38 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
         std::vector<uint64_t> batch_ids;
         while (next < backlog_end &&
                static_cast<int64_t>(batch_arrivals.size()) < batch_cap) {
-            double wait = start - arrivals[next];
-            if (deadline_on) {
-                Deadline dl{arrivals[next], deadline_budget};
-                if (dl.expired(start)) {
-                    // The budget burned away in the queue; serving now
-                    // would only complete late. Deadline-shed.
-                    ++stats.deadlineShedQueue;
-                    if (tracer.enabled()) {
-                        tracer.instant("deadline", "expired_queue",
-                                       start, 0);
-                    }
-                    if (rlog_on) {
-                        shed_record(
-                            next, arrivals[next], start,
-                            obs::RequestOutcome::ShedDeadlineQueue,
-                            true, service_estimate, level, degraded);
-                    }
-                    observe_outcome(start, wait, true);
-                    ++next;
-                    continue;
-                }
-                if (dl.remaining(start) < service_estimate) {
-                    // Admission rejection: even a median-speed batch
-                    // starting right now would blow the deadline.
-                    ++stats.shedAdmissionDeadline;
-                    if (tracer.enabled()) {
-                        tracer.instant("deadline", "shed_admission",
-                                       start, 0);
-                    }
-                    if (rlog_on) {
-                        shed_record(
-                            next, arrivals[next], start,
-                            obs::RequestOutcome::ShedAdmissionDeadline,
-                            true, service_estimate, level, degraded);
-                    }
-                    observe_outcome(start, wait, true);
-                    ++next;
-                    continue;
-                }
+            // In policy order: a deadline that burned away in the queue
+            // (serving now would only complete late); a deadline that
+            // even a median-speed batch starting now would blow; the
+            // admission wait budget; degraded mode's low-priority drop.
+            Deadline dl{arrivals[next], deadline_budget};
+            std::optional<obs::RequestOutcome> shed;
+            if (dl.expired(start))
+                shed = obs::RequestOutcome::ShedDeadlineQueue;
+            else if (dl.remaining(start) < service_estimate)
+                shed = obs::RequestOutcome::ShedAdmissionDeadline;
+            else if (options_.admission.enabled &&
+                     start - arrivals[next] > wait_budget)
+                shed = obs::RequestOutcome::ShedAdmission;
+            else if (degraded && !low_priority.empty() &&
+                     low_priority[next])
+                shed = obs::RequestOutcome::DroppedLowPriority;
+            if (shed) {
+                // It never reached a worker: its whole life was queue
+                // wait. Only a deadline shed counts as an SLA miss.
+                obs::RequestRecord rec =
+                    item_record(next, arrivals[next], start);
+                rec.outcome = *shed;
+                rec.slaViolated =
+                    *shed == obs::RequestOutcome::ShedDeadlineQueue ||
+                    *shed == obs::RequestOutcome::ShedAdmissionDeadline;
+                rec.phase[static_cast<size_t>(obs::RequestPhase::Queue)] =
+                    rec.latency;
+                window.settle(rec, stats);
+            } else {
+                batch_arrivals.push_back(arrivals[next]);
+                batch_ids.push_back(next);
             }
-            if (options_.admission.enabled && wait > wait_budget) {
-                ++stats.shedItems;
-                if (tracer.enabled())
-                    tracer.instant("serve", "shed", start, 0);
-                if (rlog_on) {
-                    shed_record(next, arrivals[next], start,
-                                obs::RequestOutcome::ShedAdmission,
-                                false, service_estimate, level,
-                                degraded);
-                }
-                ++next;
-                continue;
-            }
-            if (degraded && !low_priority.empty() && low_priority[next]) {
-                ++stats.droppedLowPriority;
-                if (tracer.enabled())
-                    tracer.instant("serve", "drop_low_priority", start, 0);
-                if (rlog_on) {
-                    shed_record(next, arrivals[next], start,
-                                obs::RequestOutcome::DroppedLowPriority,
-                                false, service_estimate, level,
-                                degraded);
-                }
-                ++next;
-                continue;
-            }
-            batch_arrivals.push_back(arrivals[next]);
-            batch_ids.push_back(next);
             ++next;
         }
         if (batch_arrivals.empty()) {
@@ -650,7 +607,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
         recent_service.push_back(service);
         if (recent_service.size() > 64)
             recent_service.erase(recent_service.begin());
-        if (tracer.enabled()) {
+        if (tracer) {
             std::string items =
                 strprintf("%zu", batch_arrivals.size());
             std::vector<std::pair<std::string, std::string>> args = {
@@ -669,20 +626,18 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
             // trace nesting-clean at any load.
             double assembly_start =
                 std::max(batch_arrivals.front(), last_assembly_end);
-            tracer.span("serve", "batch_assembly", assembly_start,
-                        start, 0, {{"items", items}});
+            tracer->span("serve", "batch_assembly", assembly_start,
+                         start, 0, {{"items", items}});
             last_assembly_end = start;
-            tracer.span("serve", "batch", start, finish,
-                        static_cast<uint32_t>(1 + w), args);
+            tracer->span("serve", "batch", start, finish,
+                         static_cast<uint32_t>(1 + w), args);
         }
 
         // Counter events ride the batch start timestamp, which the
         // min-heap keeps monotonically non-decreasing — so counter
         // tracks stay valid Chrome-trace series and bit-identical
         // across host thread counts.
-        if (telem.enabled())
-            telem.emitCounters(tracer, start, 0);
-        sampler.tick(start);
+        window.tick(start);
 
         // Served-item phase decomposition: the span on the worker is
         // the batch service time; dividing out the injected fault
@@ -690,79 +645,39 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
         // excess, and the rest of the latency is queue wait.
         double service_clean = service / fault_mult;
         double service_straggler = service - service_clean;
-        auto served_record = [&](uint64_t id, double arrival,
-                                 double latency,
-                                 obs::RequestOutcome outcome,
-                                 bool violated) {
-            obs::RequestRecord rec;
-            rec.id = id;
-            rec.arrival = arrival;
-            rec.start = start;
-            rec.finish = finish;
-            rec.latency = latency;
-            rec.outcome = outcome;
-            rec.slaViolated = violated;
-            rec.brownoutLevel = static_cast<uint8_t>(level);
-            rec.degraded = degraded;
-            rec.batchItems =
-                static_cast<uint32_t>(batch_arrivals.size());
-            rec.admissionEstimate =
-                static_cast<float>(service_estimate);
-            rec.phase[static_cast<size_t>(
-                obs::RequestPhase::Queue)] = start - arrival;
-            rec.phase[static_cast<size_t>(
-                obs::RequestPhase::Service)] = service_clean;
-            rec.phase[static_cast<size_t>(
-                obs::RequestPhase::Straggler)] = service_straggler;
-            rlog.record(rec);
-        };
         for (size_t i = 0; i < batch_arrivals.size(); ++i) {
-            double arrival = batch_arrivals[i];
-            double latency = finish - arrival;
-            if (deadline_on && latency > deadline_budget) {
-                // The cancellation token fired mid-batch for this
-                // item: the batch finished past its deadline, so its
-                // answer is abandoned, not delivered late.
-                ++stats.deadlineCancelled;
-                if (tracer.enabled()) {
-                    tracer.instant("deadline", "cancelled", finish,
-                                   static_cast<uint32_t>(1 + w));
-                }
-                if (rlog_on) {
-                    served_record(batch_ids[i], arrival, latency,
-                                  obs::RequestOutcome::Cancelled,
-                                  true);
-                }
-                observe_outcome(finish, latency, true);
-                continue;
-            }
-            stats.itemLatency.add(latency);
-            bool violated = latency > options_.slaSeconds;
-            if (violated)
-                ++stats.slaMissed;
-            else
-                ++stats.slaMet;
-            if (deadline_on)
-                ++stats.deadlineMet;
-            if (options_.brownout.enabled) {
+            obs::RequestRecord rec =
+                item_record(batch_ids[i], batch_arrivals[i], finish);
+            // The cancellation token fires mid-batch for an item the
+            // batch finished past the deadline of: its answer is
+            // abandoned, not delivered late.
+            bool cancelled = deadline_on && rec.latency > deadline_budget;
+            rec.outcome = cancelled ? obs::RequestOutcome::Cancelled
+                                    : obs::RequestOutcome::Served;
+            rec.slaViolated =
+                cancelled || rec.latency > options_.slaSeconds;
+            rec.batchItems = static_cast<uint32_t>(batch_arrivals.size());
+            rec.phase[static_cast<size_t>(obs::RequestPhase::Queue)] =
+                start - rec.arrival;
+            rec.phase[static_cast<size_t>(obs::RequestPhase::Service)] =
+                service_clean;
+            rec.phase[static_cast<size_t>(obs::RequestPhase::Straggler)] =
+                service_straggler;
+            window.settle(rec, stats, static_cast<uint32_t>(1 + w));
+            if (!cancelled && options_.brownout.enabled) {
                 ++stats.brownoutItems[static_cast<int>(level)];
-                stats.qualitySum +=
-                    options_.brownout.qualityScore(level);
+                stats.qualitySum += options_.brownout.qualityScore(level);
             }
-            if (rlog_on) {
-                served_record(batch_ids[i], arrival, latency,
-                              obs::RequestOutcome::Served, violated);
-            }
-            observe_outcome(finish, latency, violated);
         }
         last_finish = std::max(last_finish, finish);
         free_at.emplace(finish, w);
     }
+    window.tick(last_finish);
 
-    if (telem.enabled())
-        telem.emitCounters(tracer, last_finish, 0);
-    sampler.tick(last_finish);
-
+    // With a deadline, a late item is cancelled, never served: every
+    // served item met its deadline.
+    if (deadline_on)
+        stats.deadlineMet = stats.completedItems();
     stats.finalBrownoutLevel =
         static_cast<uint32_t>(brownout.level());
     stats.duration = last_finish;
@@ -774,13 +689,8 @@ Server::runClosedLoop(uint64_t batches_per_worker)
 {
     RP_ASSERT(batches_per_worker > 0, "need at least one batch");
 
+    RunWindow::nameLanes(nullptr, "worker", workers_.size());
     obs::Tracer &tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-        for (size_t w = 0; w < workers_.size(); ++w) {
-            tracer.nameLane(static_cast<uint32_t>(1 + w),
-                            strprintf("worker %zu", w));
-        }
-    }
 
     ServingStats stats;
     std::vector<double> busy(workers_.size(), 0.0);

@@ -24,6 +24,7 @@
 #include "core/cancellation.hh"
 #include "core/stats.hh"
 #include "obs/metrics.hh"
+#include "obs/request_log.hh"
 #include "resilience/fault_injector.hh"
 #include "resilience/policies.hh"
 #include "sched/brownout.hh"
@@ -171,6 +172,13 @@ struct ServingStats
 
     /** Fraction of offered items that were served at all. */
     double servedFraction() const;
+
+    /**
+     * Count one settled item under its outcome: a served item adds its
+     * latency and an SLA met/missed; every other outcome bumps its
+     * shed/drop/cancel counter. Called by RunWindow::settle.
+     */
+    void settle(const obs::RequestRecord &rec);
 
     /**
      * Export this run's counters and latency distributions into

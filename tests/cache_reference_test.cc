@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <list>
 #include <optional>
+#include <ostream>
 #include <vector>
 
 #include "core/rng.hh"
@@ -123,6 +124,16 @@ struct FuzzConfig
     uint32_t assoc;
     uint64_t addr_space_lines;
 };
+
+/** Names each fuzz case by its fields. gtest's default printer dumps
+ *  the raw bytes, padding after `assoc` included, so the test names
+ *  would change from build to build. */
+void
+PrintTo(const FuzzConfig &cfg, std::ostream *os)
+{
+    *os << "seed" << cfg.seed << "_" << cfg.size_bytes << "B_"
+        << cfg.assoc << "way_" << cfg.addr_space_lines << "lines";
+}
 
 /**
  * Run 30k random operations on a Cache and the reference. Line address

@@ -668,7 +668,7 @@ cmdServe(ArgParser &args)
 }
 
 void
-printResilientResult(const ResilientShardedResult &r)
+printResilientResult(const RunResult &r)
 {
     std::printf("  completed:     %10llu inferences (%.2f%% "
                 "availability)\n",
@@ -802,23 +802,15 @@ cmdShard(ArgParser &args)
                     ropts.sdc.canaryIntervalSeconds * 1e3);
     }
 
+    // One replica runs the single-copy path, where a hedge assumes an
+    // implicit spare replica: `ropts.replicas` stays disengaged.
+    const bool replicated = replicas.replicas > 1;
     ChaosSchedule chaos;
     auto chaos_events =
         static_cast<uint32_t>(args.optionInt("chaos-events"));
-    if (replicas.replicas <= 1) {
-        // Single-copy path: PR-1 mitigations only (a hedge assumes an
-        // implicit spare replica). `ropts.replicas` stays disengaged.
-        RunResult r = sim.run(ropts);
-        printResilientResult(r);
-        printSdcSummary(r);
-        writeFaultLog(args, fault_log);
-        r.exportTo(obs::MetricsRegistry::global());
-        obsEnd(args);
-        return 0;
-    }
-
-    ropts.replicas = replicas;
-    if (chaos_events > 0) {
+    if (replicated)
+        ropts.replicas = replicas;
+    if (replicated && chaos_events > 0) {
         // Horizon heuristic: virtual time advances by roughly one
         // per-inference latency per iteration; scale from the SLA-ish
         // chaos window length instead of pre-timing the model.
@@ -831,34 +823,38 @@ cmdShard(ArgParser &args)
     }
 
     RunResult r = sim.run(ropts);
-
-    std::printf("  failover layer: %u replicas/shard, router %s, "
-                "breaker %d errors -> open %.1f ms, warm-up %.2fx over "
-                "%.1f ms%s\n", replicas.replicas,
-                routerPolicyName(replicas.router),
-                replicas.breaker.errorThreshold,
-                replicas.breaker.openSeconds * 1e3, r.warmupFactorUsed,
-                replicas.warmupSeconds * 1e3,
-                chaos_events > 0
-                    ? strprintf(", %u chaos windows", chaos_events)
-                        .c_str()
-                    : "");
-    printResilientResult(r);
-    std::printf("  failovers:     %10llu served by a backup replica\n",
-                static_cast<unsigned long long>(r.failovers));
-    if (r.replicaSkips) {
-        std::printf("  replica skips: %10llu EWMA over the remaining "
-                    "deadline budget\n",
-                    static_cast<unsigned long long>(r.replicaSkips));
+    if (replicated) {
+        std::printf("  failover layer: %u replicas/shard, router %s, "
+                    "breaker %d errors -> open %.1f ms, warm-up %.2fx "
+                    "over %.1f ms%s\n", replicas.replicas,
+                    routerPolicyName(replicas.router),
+                    replicas.breaker.errorThreshold,
+                    replicas.breaker.openSeconds * 1e3,
+                    r.warmupFactorUsed, replicas.warmupSeconds * 1e3,
+                    chaos_events > 0
+                        ? strprintf(", %u chaos windows", chaos_events)
+                            .c_str()
+                        : "");
     }
-    std::printf("  breakers:      %10llu opened, %llu re-closed, %llu "
-                "probes, %llu all-open rejects\n",
-                static_cast<unsigned long long>(r.breakerOpens),
-                static_cast<unsigned long long>(r.breakerCloses),
-                static_cast<unsigned long long>(r.probesAdmitted),
-                static_cast<unsigned long long>(r.breakerRejects));
-    std::printf("  warm-up cost:  %10.3f ms re-filling recovered "
-                "replicas' caches\n", r.warmupPenaltySeconds * 1e3);
+    printResilientResult(r);
+    if (replicated) {
+        std::printf("  failovers:     %10llu served by a backup "
+                    "replica\n",
+                    static_cast<unsigned long long>(r.failovers));
+        if (r.replicaSkips) {
+            std::printf("  replica skips: %10llu EWMA over the "
+                        "remaining deadline budget\n",
+                        static_cast<unsigned long long>(r.replicaSkips));
+        }
+        std::printf("  breakers:      %10llu opened, %llu re-closed, "
+                    "%llu probes, %llu all-open rejects\n",
+                    static_cast<unsigned long long>(r.breakerOpens),
+                    static_cast<unsigned long long>(r.breakerCloses),
+                    static_cast<unsigned long long>(r.probesAdmitted),
+                    static_cast<unsigned long long>(r.breakerRejects));
+        std::printf("  warm-up cost:  %10.3f ms re-filling recovered "
+                    "replicas' caches\n", r.warmupPenaltySeconds * 1e3);
+    }
     printSdcSummary(r);
     writeFaultLog(args, fault_log);
     r.exportTo(obs::MetricsRegistry::global());
