@@ -1,10 +1,54 @@
 #include "core/args.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "core/logging.hh"
 
 namespace recperf {
+
+namespace {
+
+bool
+parseInt(const std::string &v, int64_t *out)
+{
+    char *end = nullptr;
+    errno = 0;
+    long long parsed = std::strtoll(v.c_str(), &end, 10);
+    if (v.empty() || *end != '\0' || errno == ERANGE)
+        return false;
+    *out = parsed;
+    return true;
+}
+
+bool
+parseNumber(const std::string &v, double *out)
+{
+    char *end = nullptr;
+    double parsed = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !std::isfinite(parsed))
+        return false;
+    *out = parsed;
+    return true;
+}
+
+/** "" when @p v is a valid @p type value, else why it is not. */
+std::string
+checkValue(const std::string &name, const std::string &v, ArgType type)
+{
+    int64_t i = 0;
+    double d = 0.0;
+    if (type == ArgType::Int && !parseInt(v, &i))
+        return strprintf("--%s expects an integer, got '%s'", name.c_str(),
+                         v.c_str());
+    if (type == ArgType::Number && !parseNumber(v, &d))
+        return strprintf("--%s expects a finite number, got '%s'",
+                         name.c_str(), v.c_str());
+    return "";
+}
+
+} // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description))
@@ -16,17 +60,20 @@ ArgParser::addFlag(const std::string &name, const std::string &help)
 {
     RP_ASSERT(!options_.count(name), "duplicate argument --%s",
               name.c_str());
-    options_[name] = {"", "", help, /*is_flag=*/true, false};
+    options_[name] = {"", "", help, ArgType::Text, /*is_flag=*/true,
+                      false};
     order_.push_back(name);
 }
 
 void
 ArgParser::addOption(const std::string &name, const std::string &def,
-                     const std::string &help)
+                     const std::string &help, ArgType type)
 {
     RP_ASSERT(!options_.count(name), "duplicate argument --%s",
               name.c_str());
-    options_[name] = {def, def, help, /*is_flag=*/false, false};
+    std::string bad_default = checkValue(name, def, type);
+    RP_ASSERT(bad_default.empty(), "default of %s", bad_default.c_str());
+    options_[name] = {def, def, help, type, /*is_flag=*/false, false};
     order_.push_back(name);
 }
 
@@ -74,6 +121,12 @@ ArgParser::parse(const std::vector<std::string> &args, std::string *error)
             }
             opt.value = args[++i];
         }
+        std::string bad = checkValue(name, opt.value, opt.type);
+        if (!bad.empty()) {
+            if (error)
+                *error = bad;
+            return false;
+        }
     }
     return true;
 }
@@ -109,11 +162,9 @@ int64_t
 ArgParser::optionInt(const std::string &name) const
 {
     const std::string &v = option(name);
-    char *end = nullptr;
-    long long parsed = std::strtoll(v.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        RP_FATAL("--%s expects an integer, got '%s'", name.c_str(),
-                 v.c_str());
+    int64_t parsed = 0;
+    if (!parseInt(v, &parsed))
+        RP_FATAL("%s", checkValue(name, v, ArgType::Int).c_str());
     return parsed;
 }
 
@@ -121,11 +172,9 @@ double
 ArgParser::optionDouble(const std::string &name) const
 {
     const std::string &v = option(name);
-    char *end = nullptr;
-    double parsed = std::strtod(v.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        RP_FATAL("--%s expects a number, got '%s'", name.c_str(),
-                 v.c_str());
+    double parsed = 0.0;
+    if (!parseNumber(v, &parsed))
+        RP_FATAL("%s", checkValue(name, v, ArgType::Number).c_str());
     return parsed;
 }
 

@@ -4,6 +4,8 @@
  *
  * Supports boolean flags (--verbose), valued options (--batch 16 or
  * --batch=16), and positional arguments, with generated help text.
+ * Options declared as integers or numbers are checked while parsing,
+ * so a malformed value is a parse error like an unknown argument.
  */
 
 #ifndef RECPERF_CORE_ARGS_HH
@@ -16,6 +18,9 @@
 
 namespace recperf {
 
+/** What a valued option accepts; Text options are never checked. */
+enum class ArgType { Text, Int, Number };
+
 /** Declarative command-line parser. */
 class ArgParser
 {
@@ -25,9 +30,13 @@ class ArgParser
     /** Register a boolean flag, e.g. "verbose" for --verbose. */
     void addFlag(const std::string &name, const std::string &help);
 
-    /** Register a valued option with a default. */
+    /**
+     * Register a valued option with a default. An Int option accepts
+     * only a whole decimal number and a Number option only a finite
+     * real; parse() rejects anything else.
+     */
     void addOption(const std::string &name, const std::string &def,
-                   const std::string &help);
+                   const std::string &help, ArgType type = ArgType::Text);
 
     /**
      * Parse argv (excluding argv[0]).
@@ -54,6 +63,7 @@ class ArgParser
         std::string value;
         std::string def;
         std::string help;
+        ArgType type = ArgType::Text;
         bool is_flag = false;
         bool set = false;
     };

@@ -279,6 +279,7 @@ Tracer::clear()
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto &buf : buffers_)
         buf->events.clear();
+    lane_names_.clear();
 }
 
 std::string

@@ -101,7 +101,8 @@ class Tracer
 
     /**
      * Name a lane ("thread_name" metadata in the JSON). Idempotent;
-     * works whether or not tracing is currently enabled.
+     * works whether or not tracing is currently enabled; clear()
+     * forgets the name.
      */
     void nameLane(uint32_t tid, const std::string &name);
 
@@ -154,7 +155,10 @@ class Tracer
     /** Merged, deterministically ordered view of all buffered events. */
     std::vector<TraceEvent> snapshot() const;
 
-    /** Drop all buffered events (lane names survive). */
+    /**
+     * Drop all buffered events and lane names, so the next run exports
+     * only the lanes it names itself.
+     */
     void clear();
 
     /** Chrome trace-event JSON ({"traceEvents": [...]}). */

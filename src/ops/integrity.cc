@@ -268,13 +268,6 @@ IntegrityRuntime::attach(const void *key, IntegrityShield *shield)
 }
 
 void
-IntegrityRuntime::detach(const void *key)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    shields_.erase(key);
-}
-
-void
 IntegrityRuntime::reset()
 {
     setEnabled(false);
@@ -330,13 +323,6 @@ IntegrityRuntime::batchesVerified() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return batches_verified_;
-}
-
-uint64_t
-IntegrityRuntime::rowsVerified() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return rows_verified_;
 }
 
 uint64_t

@@ -196,8 +196,6 @@ class IntegrityRuntime
     /** Register @p shield for the table whose `this` is @p key. */
     void attach(const void *key, IntegrityShield *shield);
 
-    void detach(const void *key);
-
     /** Disable, detach all shields, zero counters, default config. */
     void reset();
 
@@ -206,7 +204,6 @@ class IntegrityRuntime
 
     uint64_t batchesSeen() const;
     uint64_t batchesVerified() const;
-    uint64_t rowsVerified() const;
     uint64_t corruptionsDetected() const;
     uint64_t rowsRepaired() const;
 

@@ -504,12 +504,6 @@ KernelCache::setTuningEnabled(bool on)
     tuning_enabled_.store(on, std::memory_order_relaxed);
 }
 
-bool
-KernelCache::tuningEnabled() const
-{
-    return tuning_enabled_.load(std::memory_order_relaxed);
-}
-
 void
 KernelCache::clear()
 {
@@ -663,12 +657,12 @@ KernelCache::exportMetrics(obs::MetricsRegistry &reg) const
 }
 
 void
-KernelCache::emitTraceCounters(obs::Tracer &tracer, uint32_t tid) const
+KernelCache::emitTraceCounters(obs::Tracer &tracer, double t,
+                               uint32_t tid) const
 {
     if (!tracer.enabled())
         return;
     std::lock_guard<std::mutex> lock(mu_);
-    const double t = tracer.wallSeconds();
     tracer.counter("kernel", "kernel.cache.hits", t, tid,
                    static_cast<double>(
                        hits_.load(std::memory_order_relaxed)));

@@ -158,7 +158,6 @@ class KernelCache
      * arm of the tuned-vs-generic benchmarks. Clears the cache.
      */
     void setTuningEnabled(bool on);
-    bool tuningEnabled() const;
 
     /** Drop every entry and reset hit/tune counters (not thread-safe
      *  against concurrent kernel calls). */
@@ -185,10 +184,13 @@ class KernelCache
 
     /**
      * Emit one Chrome-trace counter event per exported kernel counter
-     * (cat "kernel", virtual lane @p tid) at the tracer's current wall
-     * time, so check_trace.py can reconcile tracks against metrics.
+     * (cat "kernel", virtual lane @p tid) at virtual time @p t, so
+     * check_trace.py can reconcile tracks against metrics. The caller
+     * picks the time (the CLI: the end of the run's virtual timeline),
+     * keeping the trace file reproducible.
      */
-    void emitTraceCounters(obs::Tracer &tracer, uint32_t tid = 0) const;
+    void emitTraceCounters(obs::Tracer &tracer, double t,
+                           uint32_t tid = 0) const;
 
   private:
     static constexpr size_t kSlots = 512;

@@ -269,27 +269,33 @@ RunResult::exportTo(obs::MetricsRegistry &registry) const
     }
 }
 
+std::string
+RunOptions::validate() const
+{
+    if (measureIters < 1)
+        return strprintf("need at least one measured iteration (got %d)",
+                         measureIters);
+    if (faults.shardMtbfSeconds > 0.0 && !(faults.shardMttrSeconds > 0.0))
+        return strprintf("MTTR must be positive when an MTBF enables "
+                         "shard failures (got %g s)",
+                         faults.shardMttrSeconds);
+    for (const std::string &err :
+         {replicas ? replicas->validate() : std::string(),
+          validateRetryPolicy(retry), validateHedgePolicy(hedge, retry),
+          faults.validate(), validateDeadlineSeconds(deadlineSeconds),
+          sdc.validate()}) {
+        if (!err.empty())
+            return err;
+    }
+    return "";
+}
+
 RunResult
 ShardedInference::run(const RunOptions &options)
 {
     const bool replicated = options.replicas.has_value();
-    RP_ASSERT(options.measureIters > 0,
-              "need at least one measured iteration");
-    // Each validator returns "" or why its options are unusable.
-    std::vector<std::string> errors;
-    if (replicated) {
-        errors = {options.replicas->validate(),
-                  validateRetryPolicy(options.retry),
-                  validateHedgePolicy(options.hedge, options.retry),
-                  options.faults.validate()};
-    } else {
-        RP_ASSERT(options.retry.maxRetries >= 0,
-                  "maxRetries cannot be negative");
-    }
-    errors.push_back(validateDeadlineSeconds(options.deadlineSeconds));
-    errors.push_back(options.sdc.validate());
-    for (const std::string &err : errors)
-        RP_ASSERT(err.empty(), "%s", err.c_str());
+    std::string invalid = options.validate();
+    RP_ASSERT(invalid.empty(), "%s", invalid.c_str());
 
     if (options.backend) {
         for (std::unique_ptr<ModelTimer> &timer : shard_timers_)

@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/cancellation.hh"
@@ -37,18 +38,6 @@ struct NetworkConfig
 {
     double rttUs = 10.0;          ///< one round trip, kernel bypass
     double bandwidthGBps = 3.0;   ///< per-link (25 GbE-class)
-};
-
-/** Per-inference latency breakdown of a sharded execution. */
-struct ShardedResult
-{
-    double totalSeconds = 0.0;
-    double slowestShardSeconds = 0.0; ///< parallel SLS across nodes
-    double networkSeconds = 0.0;      ///< pooled-vector all-to-one
-    double aggregatorSeconds = 0.0;   ///< bottom/top MLP + interaction
-
-    /** Pooled-embedding bytes crossing the network per inference. */
-    double networkBytes = 0.0;
 };
 
 /**
@@ -136,6 +125,15 @@ struct RunOptions
      * timers were constructed with.
      */
     std::optional<BackendConfig> backend;
+
+    /**
+     * Empty when ShardedInference::run can run these options, else
+     * why not: measureIters > 0, an MTTR behind any MTBF, and the
+     * replica (when engaged), retry, hedge, fault, deadline and SDC
+     * validators. run() asserts it on the single-copy and the
+     * replicated path alike; the CLI reports it as an argument error.
+     */
+    std::string validate() const;
 };
 
 /**
@@ -143,7 +141,7 @@ struct RunOptions
  * fault-injected run with mitigation (timeouts, retries, hedging), the
  * replica layer's failover/breaker/warm-up bookkeeping, the SDC
  * defense counters, and the mean latency breakdown of completed
- * inferences (the legacy ShardedResult view).
+ * inferences.
  */
 struct RunResult
 {
@@ -256,13 +254,6 @@ struct RunResult
      */
     void settle(const obs::RequestRecord &rec);
 
-    /** Slice down to the legacy per-inference breakdown. */
-    ShardedResult breakdown() const
-    {
-        return {totalSeconds, slowestShardSeconds, networkSeconds,
-                aggregatorSeconds, networkBytes};
-    }
-
     /**
      * Export counters/latencies into @p registry under the `sharded.`
      * prefix. Like ServingStats::exportTo, called once per run.
@@ -312,8 +303,8 @@ class ShardedInference
      * windows (kills, rack failures, straggler storms) on top.
      *
      * Fully deterministic for fixed seeds; with the default options
-     * (no faults, no hedge, no replica layer) the result's breakdown()
-     * is bit-identical to the legacy plain run.
+     * (no faults, no hedge, no replica layer) the result's mean
+     * latency breakdown is bit-identical to the legacy plain run.
      */
     RunResult run(const RunOptions &options);
 

@@ -247,6 +247,31 @@ ServingStats::summarize(const obs::MetricsSnapshot &snap)
     return out;
 }
 
+std::string
+ServerOptions::validate() const
+{
+    if (numWorkers < 1)
+        return "the server needs at least one worker";
+    if (maxBatch < 1)
+        return strprintf("max batch must be >= 1 (got %lld)",
+                         static_cast<long long>(maxBatch));
+    if (!(slaSeconds > 0.0))
+        return strprintf("SLA must be positive (got %g s)", slaSeconds);
+    if (clusterReplicas < 1)
+        return "the serving tier needs at least one replica";
+    if (healthyReplicas > clusterReplicas)
+        return strprintf("healthy replicas (%u) cannot exceed the "
+                         "cluster's %u", healthyReplicas, clusterReplicas);
+    for (const std::string &err :
+         {validateAdmissionOptions(admission),
+          validateDegradeOptions(degrade), faults.validate(),
+          validateDeadlineSeconds(deadlineSeconds), brownout.validate()}) {
+        if (!err.empty())
+            return err;
+    }
+    return "";
+}
+
 Server::Server(const MachineSpec &machine, const ModelConfig &config,
                const TimerOptions &timer_options,
                const ServerOptions &options)
@@ -255,20 +280,7 @@ Server::Server(const MachineSpec &machine, const ModelConfig &config,
       arrival_rng_(options.seed ^ 0x5a5a5a5aULL),
       priority_rng_(options.seed ^ 0x3c3c3c3cULL)
 {
-    RP_ASSERT(options_.numWorkers >= 1, "server needs at least one worker");
-    RP_ASSERT(options_.maxBatch >= 1, "maxBatch must be positive");
-    if (options_.degrade.enabled) {
-        RP_ASSERT(options_.degrade.degradedMaxBatch >= 1,
-                  "degraded batch cap must be positive");
-    }
-    RP_ASSERT(options_.clusterReplicas >= 1,
-              "the serving tier needs at least one replica");
-    RP_ASSERT(options_.healthyReplicas <= options_.clusterReplicas,
-              "healthy replicas (%u) cannot exceed the cluster's %u",
-              options_.healthyReplicas, options_.clusterReplicas);
-    std::string err = validateDeadlineSeconds(options_.deadlineSeconds);
-    RP_ASSERT(err.empty(), "%s", err.c_str());
-    err = options_.brownout.validate();
+    std::string err = options_.validate();
     RP_ASSERT(err.empty(), "%s", err.c_str());
     if (options_.faults.anyFaults())
         injector_ = std::make_unique<FaultInjector>(options_.faults, 0);

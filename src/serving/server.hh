@@ -19,6 +19,7 @@
 #define RECPERF_SERVING_SERVER_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cancellation.hh"
@@ -82,6 +83,14 @@ struct ServerOptions
 
     /** SLO-burn-driven graceful-degradation ladder. */
     BrownoutOptions brownout;
+
+    /**
+     * Empty when a Server can run with these options, else why not:
+     * worker/batch/replica counts, SLA > 0, and the admission,
+     * degrade, fault, deadline and brownout validators. The Server
+     * constructor asserts it; the CLI reports it as an argument error.
+     */
+    std::string validate() const;
 };
 
 /** Outcome of a serving run. */

@@ -68,32 +68,6 @@ ModelTiming::dramLines() const
     return lines;
 }
 
-OpCost
-ModelTiming::totalCost() const
-{
-    OpCost total;
-    for (const OpTiming &op : ops)
-        total += op.cost;
-    return total;
-}
-
-OpCost
-ModelTiming::costByKind(OpKind kind) const
-{
-    OpCost total;
-    for (const OpTiming &op : ops) {
-        if (op.kind == kind)
-            total += op.cost;
-    }
-    return total;
-}
-
-double
-ModelTiming::arithmeticIntensity() const
-{
-    return totalCost().intensity();
-}
-
 void
 ModelTiming::accumulate(const ModelTiming &other)
 {

@@ -83,15 +83,6 @@ struct ModelTiming
     /** DRAM lines touched. */
     uint64_t dramLines() const;
 
-    /** Summed FLOPs / bytes across every operator. */
-    OpCost totalCost() const;
-
-    /** Summed FLOPs / bytes of one operator kind. */
-    OpCost costByKind(OpKind kind) const;
-
-    /** FLOPs per byte moved across the whole inference. */
-    double arithmeticIntensity() const;
-
     /** Merge another inference's records (for aggregation). */
     void accumulate(const ModelTiming &other);
 

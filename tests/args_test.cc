@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/args.hh"
 #include "core/logging.hh"
 
@@ -95,6 +98,31 @@ TEST(ArgParser, BadIntegerFatal)
     std::string err;
     ASSERT_TRUE(p.parse({"--batch", "soup"}, &err));
     EXPECT_THROW(p.optionInt("batch"), FatalError);
+}
+
+TEST(ArgParser, TypedOptionsRejectMalformedValuesAtParse)
+{
+    const std::vector<std::vector<std::string>> bad = {
+        {"--items", "abc"}, {"--items=1.5"}, {"--items="},
+        {"--items", "99999999999999999999"}, {"--rate", "1e4x"},
+        {"--rate", "nan"}, {"--rate=inf"}, {"--rate="}};
+    for (const std::vector<std::string> &argv : bad) {
+        ArgParser p("prog", "test program");
+        p.addOption("items", "16", "item count", ArgType::Int);
+        p.addOption("rate", "1.5", "arrival rate", ArgType::Number);
+        std::string err;
+        EXPECT_FALSE(p.parse(argv, &err)) << argv.front();
+        EXPECT_NE(err.find("expects"), std::string::npos) << err;
+    }
+    ArgParser p("prog", "test program");
+    p.addOption("items", "16", "item count", ArgType::Int);
+    p.addOption("rate", "1.5", "arrival rate", ArgType::Number);
+    std::string err;
+    ASSERT_TRUE(p.parse({"--items", "-3", "--rate", "2e3"}, &err)) << err;
+    EXPECT_EQ(p.optionInt("items"), -3);
+    EXPECT_DOUBLE_EQ(p.optionDouble("rate"), 2000.0);
+    EXPECT_THROW(p.addOption("bad", "x", "bad default", ArgType::Int),
+                 PanicError);
 }
 
 TEST(ArgParser, UnknownLookupPanics)

@@ -390,6 +390,27 @@ TEST(Trace, JsonIsWellFormedAndOrdered)
     EXPECT_TRUE(JsonChecker(tracer.toJson()).valid()) << tracer.toJson();
 }
 
+TEST(Trace, ClearForgetsLaneNames)
+{
+    // A second traced run in one process must export only the lanes it
+    // names itself, not the first run's (e.g. SDC scrub lanes).
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    tracer.nameLane(5, "scrub s0");
+    tracer.span("sdc", "scrub", 0.0, 1e-3, 5);
+    tracer.clear();
+    tracer.nameLane(1, "worker 0");
+    tracer.span("serve", "batch", 0.0, 1e-3, 1);
+    tracer.setEnabled(false);
+
+    std::string json = tracer.toJson();
+    EXPECT_NE(json.find("\"worker 0\""), std::string::npos) << json;
+    EXPECT_EQ(json.find("scrub"), std::string::npos) << json;
+    EXPECT_EQ(tracer.snapshot().size(), 1u);
+    tracer.clear();
+}
+
 TEST(Trace, VirtualSpansNestPerLane)
 {
     // Run a small serving simulation with tracing on and check the

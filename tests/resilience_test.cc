@@ -588,6 +588,37 @@ TEST(PolicyValidation, RetryAndHedgeCrossChecks)
     EXPECT_FALSE(validateDegradeOptions(degrade).empty());
 }
 
+TEST(PolicyValidation, RunOptionsCheckBothPaths)
+{
+    RunOptions ok;
+    EXPECT_EQ(ok.validate(), "");
+    // A hedge that can never fire is rejected on the single-copy path
+    // exactly as on the replicated one.
+    RunOptions hedge;
+    hedge.retry.timeoutSeconds = 1e-3;
+    hedge.hedge.enabled = true;
+    hedge.hedge.delaySeconds = 2e-3;
+    RunOptions mttr;
+    mttr.faults.shardMtbfSeconds = 5e-3;
+    mttr.faults.shardMttrSeconds = 0.0;
+    RunOptions iters;
+    iters.measureIters = 0;
+    for (const RunOptions &single : {hedge, mttr, iters}) {
+        EXPECT_NE(single.validate(), "");
+        RunOptions replicated = single;
+        replicated.replicas = ReplicaOptions{};
+        EXPECT_EQ(replicated.validate(), single.validate());
+        ShardedInference sim(broadwell(), rmc1Small(), 2, NetworkConfig{},
+                             TimerOptions{});
+        EXPECT_THROW(sim.run(single), PanicError);
+        EXPECT_THROW(sim.run(replicated), PanicError);
+    }
+    RunOptions replica;
+    replica.replicas = ReplicaOptions{};
+    replica.replicas->warmupSeconds = -1.0;
+    EXPECT_NE(replica.validate(), "");
+}
+
 TEST(FaultOptionsValidation, CatchesNonsense)
 {
     FaultOptions f;

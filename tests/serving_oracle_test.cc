@@ -80,8 +80,10 @@ struct Exports
  * in the order the CLI writes them: the run's own counters first, then
  * the telemetry, time-series and request-log metrics. The run happens
  * in a forked child, so each cell starts from a fresh process exactly
- * as under ctest: lane names survive Tracer::clear(), and would leak
- * from one cell's trace into the next.
+ * as under ctest, whatever ran before it in this binary: process-wide
+ * state such as the tracer's wall-lane numbering or the registrations
+ * MetricsRegistry::reset() keeps cannot leak from one cell into the
+ * next.
  */
 Exports
 observedRun(const std::function<void(obs::MetricsRegistry &)> &body)

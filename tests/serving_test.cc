@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/logging.hh"
 #include "machine/machine_spec.hh"
 #include "model/zoo.hh"
@@ -177,6 +179,28 @@ TEST(Server, ValidatesOptions)
     bad.maxBatch = 0;
     EXPECT_THROW(Server(broadwell(), rmc1Small(), TimerOptions{}, bad),
                  PanicError);
+}
+
+TEST(Server, OptionsValidateGathersEveryCheck)
+{
+    // One validator per struct: the CLI reports what the constructor
+    // would assert.
+    EXPECT_EQ(baseOptions().validate(), "");
+    std::vector<ServerOptions> bad(6, baseOptions());
+    bad[0].slaSeconds = 0.0;
+    bad[1].healthyReplicas = 2; // of the default single replica
+    bad[2].admission.enabled = true;
+    bad[2].admission.maxWaitFraction = 1.5;
+    bad[3].degrade.enabled = true;
+    bad[3].degrade.backlogFactor = 0.0;
+    bad[4].faults.stragglerProb = 2.0;
+    bad[5].brownout.enabled = true;
+    bad[5].brownout.exitFraction = 2.0;
+    for (const ServerOptions &opts : bad) {
+        EXPECT_NE(opts.validate(), "");
+        EXPECT_THROW(Server(broadwell(), rmc1Small(), TimerOptions{}, opts),
+                     PanicError);
+    }
 }
 
 TEST(Server, RejectsDegenerateRuns)

@@ -20,7 +20,13 @@
  *             breakdown, cache MPKI, roofline placement, SLO burn)
  *             from saved --metrics-out/--trace-out/--timeseries-out
  *             artifacts
+ *   explain   attribute the latency tail from a --request-log-out file
  *   zoo       list the model zoo and machine fleet
+ *
+ * Each command takes only the options it reads: the command table
+ * below names the option groups of every command, and any other
+ * option is an unknown argument (exit 2), as is a malformed number.
+ * `recperf <command> --help` lists exactly what a command takes.
  *
  * The global --threads flag (or RECPERF_THREADS) sizes the worker
  * pool used by every tensor kernel. time/serve/shard/eval accept
@@ -44,10 +50,14 @@
  *   recperf eval --model rmc2 --batch 64 --threads 8
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,7 +79,6 @@
 #include "obs/trace.hh"
 #include "machine/machine_spec.hh"
 #include "model/zoo.hh"
-#include "resilience/deadline.hh"
 #include "resilience/fault_injector.hh"
 #include "resilience/policies.hh"
 #include "sched/brownout.hh"
@@ -83,8 +92,60 @@ using namespace recperf;
 
 namespace {
 
-void obsBegin(ArgParser &args);
-void obsEnd(ArgParser &args);
+/** A bad command line: main prints it and exits 2. */
+struct UsageError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/** Throws @p err as a UsageError unless it is empty. */
+void
+usageCheck(const std::string &err)
+{
+    if (!err.empty())
+        throw UsageError(err);
+}
+
+/**
+ * Integer option @p name as a T. Values below @p lo, or beyond what T
+ * holds, are argument errors rather than silent wraps on the cast.
+ */
+template <typename T>
+T
+intArg(const ArgParser &args, const char *name, int64_t lo)
+{
+    const int64_t v = args.optionInt(name);
+    if (v < lo) {
+        throw UsageError(strprintf("--%s must be >= %lld (got %lld)", name,
+                                   static_cast<long long>(lo),
+                                   static_cast<long long>(v)));
+    }
+    const auto hi = static_cast<uint64_t>(std::numeric_limits<T>::max());
+    if (static_cast<uint64_t>(v) > hi) {
+        throw UsageError(strprintf("--%s must be <= %llu (got %lld)", name,
+                                   static_cast<unsigned long long>(hi),
+                                   static_cast<long long>(v)));
+    }
+    return static_cast<T>(v);
+}
+
+/**
+ * Rejects every knob of @p knobs given on the command line while the
+ * switch it tunes is off (@p on false): it would silently do nothing.
+ */
+void
+requireSwitch(const ArgParser &args, bool on, const char *switch_name,
+              std::initializer_list<const char *> knobs)
+{
+    if (on)
+        return;
+    for (const char *knob : knobs) {
+        if (args.explicitlySet(knob)) {
+            throw UsageError(strprintf("--%s has no effect without %s",
+                                       knob, switch_name));
+        }
+    }
+}
 
 ModelConfig
 modelByName(const std::string &name)
@@ -103,8 +164,9 @@ modelByName(const std::string &name)
         return rmc3Dot();
     if (name == "ncf")
         return ncfConfig();
-    RP_FATAL("unknown model '%s' (try: rmc1, rmc2, rmc3, rmc3-dot, ncf, "
-             "or a full zoo name)", name.c_str());
+    throw UsageError(strprintf("unknown model '%s' (try: rmc1, rmc2, rmc3, "
+                               "rmc3-dot, ncf, or a full zoo name)",
+                               name.c_str()));
 }
 
 MachineSpec
@@ -117,26 +179,194 @@ machineByName(const std::string &name)
         if (lower == name)
             return m;
     }
-    RP_FATAL("unknown machine '%s' (try: haswell, broadwell, skylake)",
-             name.c_str());
+    throw UsageError(strprintf("unknown machine '%s' (try: haswell, "
+                               "broadwell, skylake)", name.c_str()));
+}
+
+int64_t
+batchArg(const ArgParser &args)
+{
+    return intArg<int64_t>(args, "batch", 1);
+}
+
+/** 0 is the "off" default; an explicit rate must be usable. */
+double
+integritySampleArg(const ArgParser &args)
+{
+    double sample = args.optionDouble("integrity-sample");
+    if (args.explicitlySet("integrity-sample") &&
+        (sample <= 0.0 || sample > 1.0)) {
+        throw UsageError(strprintf("--integrity-sample must be in (0, 1] "
+                                   "(got %g)", sample));
+    }
+    return sample;
+}
+
+/**
+ * The observability sinks of one run (an empty path is off): the sink
+ * group of time/serve/shard/eval plus, on serve and shard, the request
+ * log.
+ */
+struct Sinks
+{
+    std::string trace;
+    std::string metrics;
+    std::string timeseries;
+    std::string requestLog;
+    std::string exemplars;
+    bool counters = false;
+    obs::TimeSeriesOptions timeseriesOptions;
+    obs::RequestLogOptions requestLogOptions;
+
+    bool logsRequests() const
+    {
+        return !requestLog.empty() || !exemplars.empty();
+    }
+};
+
+Sinks
+sinksFromArgs(const ArgParser &args, bool request_log)
+{
+    Sinks s;
+    s.trace = args.option("trace-out");
+    s.metrics = args.option("metrics-out");
+    s.timeseries = args.option("timeseries-out");
+    s.counters = args.flag("counters");
+    s.timeseriesOptions.intervalSeconds =
+        args.optionDouble("timeseries-interval-ms") / 1e3;
+    if (!request_log)
+        return s;
+    s.requestLog = args.option("request-log-out");
+    s.exemplars = args.option("exemplars-out");
+    obs::RequestLogOptions &r = s.requestLogOptions;
+    r.slowestK = intArg<int>(args, "request-log-k", 1);
+    r.windowSeconds = args.optionDouble("request-log-window-ms") / 1e3;
+    usageCheck(obs::validateRequestLogArgs(
+        r.slowestK, r.windowSeconds, s.logsRequests(),
+        args.explicitlySet("request-log-k"),
+        args.explicitlySet("request-log-window-ms")));
+    return s;
+}
+
+/**
+ * Observability plumbing shared by time/serve/shard/eval: a trace path
+ * enables the tracer for the run, --counters / --timeseries-out turn
+ * on the hardware-model telemetry (and its virtual-time sampler), and
+ * a request-log path arms the request logger.
+ */
+void
+obsBegin(const Sinks &sinks)
+{
+    obs::MetricsRegistry::global().reset();
+    if (!sinks.trace.empty()) {
+        obs::Tracer::global().clear();
+        obs::Tracer::global().setEnabled(true);
+    }
+    if (sinks.counters || !sinks.timeseries.empty()) {
+        obs::HwTelemetry::global().reset();
+        obs::HwTelemetry::global().setEnabled(true);
+    }
+    if (!sinks.timeseries.empty()) {
+        obs::TimeSeriesSampler::global().configure(sinks.timeseriesOptions);
+        obs::TimeSeriesSampler::global().setEnabled(true);
+    }
+    if (sinks.logsRequests()) {
+        obs::RequestLogger::global().configure(sinks.requestLogOptions);
+        obs::RequestLogger::global().setEnabled(true);
+    }
+}
+
+/** End of the run's virtual timeline: its last virtual-lane event. */
+double
+virtualEndSeconds(const obs::Tracer &tracer)
+{
+    double end = 0.0;
+    for (const obs::TraceEvent &ev : tracer.snapshot()) {
+        if (ev.tid < obs::Tracer::kWallTidBase)
+            end = std::max(end, (ev.tsUs + ev.durUs) / 1e6);
+    }
+    return end;
+}
+
+/**
+ * Writes every sink of @p sinks; --metrics-out also prints the summary
+ * table on stdout.
+ */
+void
+obsEnd(const Sinks &sinks)
+{
+    // Export telemetry into the registry before the snapshot so the
+    // metrics file carries the final counter values (check_trace.py
+    // cross-checks the trace's counter tracks against them). Kernel
+    // counters follow the same rule: trace tracks first (while the
+    // tracer is still enabled), then the matching metrics export.
+    obs::Tracer &tracer = obs::Tracer::global();
+    KernelCache &kcache = KernelCache::global();
+    if (tracer.enabled())
+        kcache.emitTraceCounters(tracer, virtualEndSeconds(tracer));
+    kcache.exportMetrics(obs::MetricsRegistry::global());
+    obs::HwTelemetry &telem = obs::HwTelemetry::global();
+    if (telem.enabled())
+        telem.exportTo(obs::MetricsRegistry::global());
+    obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
+    if (sampler.enabled()) {
+        sampler.exportTo(obs::MetricsRegistry::global());
+        if (sampler.writeFile(sinks.timeseries)) {
+            std::printf("  timeseries:    wrote %s (%zu samples)\n",
+                        sinks.timeseries.c_str(), sampler.size());
+        }
+    }
+    obs::RequestLogger &rlog = obs::RequestLogger::global();
+    if (rlog.enabled()) {
+        // Export before the metrics snapshot so the tail.blame.*
+        // gauges land in --metrics-out; a run without logging never
+        // calls exportTo, keeping its metric set byte-identical.
+        rlog.exportTo(obs::MetricsRegistry::global());
+        if (!sinks.requestLog.empty() && rlog.writeFile(sinks.requestLog)) {
+            std::printf("  request log:   wrote %s (%zu records)\n",
+                        sinks.requestLog.c_str(), rlog.size());
+        }
+        if (!sinks.exemplars.empty() &&
+            rlog.writeExemplars(sinks.exemplars)) {
+            std::printf("  exemplars:     wrote %s\n",
+                        sinks.exemplars.c_str());
+        }
+    }
+    telem.setEnabled(false);
+    sampler.setEnabled(false);
+    rlog.setEnabled(false);
+
+    if (!sinks.trace.empty()) {
+        tracer.setEnabled(false);
+        if (tracer.writeFile(sinks.trace)) {
+            std::printf("  trace:         wrote %s (%zu events)\n",
+                        sinks.trace.c_str(), tracer.snapshot().size());
+        }
+    }
+    if (sinks.metrics.empty())
+        return;
+    obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+    if (obs::writeTextFile(sinks.metrics, snap.toJson(), "recperf"))
+        std::printf("  metrics:       wrote %s\n", sinks.metrics.c_str());
+    std::printf("metrics summary:\n%s", snap.table().c_str());
 }
 
 int
-cmdTime(ArgParser &args)
+cmdTime(const ArgParser &args)
 {
-    obsBegin(args);
+    const Sinks sinks = sinksFromArgs(args, false);
     ModelConfig cfg = modelByName(args.option("model"));
     MachineSpec machine = machineByName(args.option("machine"));
     TimerOptions opts;
-    opts.batch = args.optionInt("batch");
+    opts.batch = batchArg(args);
     opts.zipfAlpha = args.optionDouble("zipf");
     opts.repeatProb = args.optionDouble("repeat");
     opts.backend = activeBackendConfig();
+    const int iters = intArg<int>(args, "iters", 1);
 
+    obsBegin(sinks);
     ModelTimer timer(machine, cfg, opts);
-    ModelTiming t = timer.steadyState(
-        static_cast<int>(args.optionInt("iters")),
-        static_cast<int>(args.optionInt("iters")));
+    ModelTiming t = timer.steadyState(iters, iters);
 
     std::printf("%s on %s, batch %lld:\n", cfg.name.c_str(),
                 machine.name.c_str(),
@@ -168,19 +398,18 @@ cmdTime(ArgParser &args)
         std::printf("    %-11s %8.3f ms (%5.1f%%)\n", opKindName(kind),
                     secs * 1e3, 100.0 * secs / t.totalSeconds());
     }
-    obsEnd(args);
+    obsEnd(sinks);
     return 0;
 }
 
 int
-cmdColocate(ArgParser &args)
+cmdColocate(const ArgParser &args)
 {
     ModelConfig cfg = modelByName(args.option("model"));
     MachineSpec machine = machineByName(args.option("machine"));
-    auto max_tenants =
-        static_cast<uint32_t>(args.optionInt("max-tenants"));
+    const auto max_tenants = intArg<uint32_t>(args, "max-tenants", 1);
     TimerOptions opts;
-    opts.batch = args.optionInt("batch");
+    opts.batch = batchArg(args);
     opts.backend = activeBackendConfig();
 
     std::printf("co-locating %s on %s (batch %lld):\n", cfg.name.c_str(),
@@ -200,106 +429,31 @@ cmdColocate(ArgParser &args)
     return 0;
 }
 
-/** Memory-corruption channel of the failure model (shard). */
-CorruptionOptions
-corruptionFromArgs(ArgParser &args)
-{
-    CorruptionOptions c;
-    c.ratePerSec = args.optionDouble("corrupt-rate");
-    c.zipfAlpha = args.optionDouble("corrupt-zipf");
-    c.multiBitFraction = args.optionDouble("corrupt-multi-bit");
-    c.stuckRowFraction = args.optionDouble("corrupt-stuck-row");
-    c.fcFraction = args.optionDouble("corrupt-fc");
-    return c;
-}
-
-/** SDC detection/recovery ladder options (shard). */
-SdcOptions
-sdcFromArgs(ArgParser &args)
-{
-    SdcOptions s;
-    s.scrubIntervalSeconds = args.optionDouble("scrub-interval-ms") / 1e3;
-    s.inlineSampleRate = args.optionDouble("integrity-sample");
-    s.outputGuards = args.flag("integrity-guards");
-    s.canaryIntervalSeconds =
-        args.optionDouble("integrity-canary-ms") / 1e3;
-    s.repairRttSeconds = args.optionDouble("repair-rtt-us") / 1e6;
-    s.repairBandwidthGBps = args.optionDouble("repair-gbps");
-    s.drainDensity = args.optionDouble("drain-density");
-    return s;
-}
-
-/** Failure-model options shared by serve and shard. */
+/** Service-time faults of the faults group, shared by serve and shard
+ *  (shard adds its failure process and the corruption channel). */
 FaultOptions
-faultsFromArgs(ArgParser &args)
+faultsFromArgs(const ArgParser &args)
 {
     FaultOptions f;
     f.stragglerProb = args.optionDouble("straggler-prob");
     f.stragglerAlpha = args.optionDouble("straggler-alpha");
     f.stragglerMin = args.optionDouble("straggler-min");
-    f.shardMtbfSeconds = args.optionDouble("mtbf-ms") / 1e3;
-    f.shardMttrSeconds = args.optionDouble("mttr-ms") / 1e3;
     f.spikeRatePerSec = args.optionDouble("spike-rate");
     f.spikeDurationSeconds = args.optionDouble("spike-ms") / 1e3;
     f.spikeFactor = args.optionDouble("spike-factor");
     f.seed = static_cast<uint64_t>(args.optionInt("fault-seed"));
-    f.corruption = corruptionFromArgs(args);
     return f;
 }
 
-/** Retry/hedge policies shared by the shard paths. */
-RetryPolicy
-retryFromArgs(ArgParser &args)
-{
-    RetryPolicy retry;
-    retry.timeoutSeconds = args.optionDouble("timeout-ms") / 1e3;
-    retry.maxRetries = static_cast<int>(args.optionInt("retries"));
-    return retry;
-}
-
-HedgePolicy
-hedgeFromArgs(ArgParser &args)
-{
-    HedgePolicy hedge;
-    hedge.enabled = args.flag("hedge");
-    hedge.delaySeconds = args.optionDouble("hedge-ms") / 1e3;
-    return hedge;
-}
-
-ReplicaOptions
-replicasFromArgs(ArgParser &args, std::string *error)
-{
-    ReplicaOptions r;
-    int64_t replicas = args.optionInt("replicas");
-    if (replicas < 1) {
-        *error = strprintf("--replicas must be >= 1 (got %lld)",
-                           static_cast<long long>(replicas));
-        return r;
-    }
-    r.replicas = static_cast<uint32_t>(replicas);
-    if (!routerPolicyFromName(args.option("router"), &r.router)) {
-        *error = strprintf("unknown --router '%s' (try: primary-first, "
-                           "least-loaded, p2c)",
-                           args.option("router").c_str());
-        return r;
-    }
-    r.breaker.errorThreshold =
-        static_cast<int>(args.optionInt("breaker-errors"));
-    r.breaker.openSeconds = args.optionDouble("breaker-open-ms") / 1e3;
-    r.breaker.probeAdmitProb = args.optionDouble("breaker-probe");
-    r.breaker.closeAfterProbes =
-        static_cast<int>(args.optionInt("breaker-close-probes"));
-    r.warmupSeconds = args.optionDouble("warmup-ms") / 1e3;
-    r.warmupFactor = args.optionDouble("warmup-factor");
-    r.seed = static_cast<uint64_t>(args.optionInt("fault-seed"));
-    return r;
-}
-
 BrownoutOptions
-brownoutFromArgs(ArgParser &args)
+brownoutFromArgs(const ArgParser &args)
 {
     BrownoutOptions b;
     b.enabled = args.flag("brownout");
+    requireSwitch(args, b.enabled, "--brownout",
+                  {"brownout-enter", "brownout-growth", "brownout-exit",
+                   "brownout-dwell-ms", "brownout-truncate",
+                   "brownout-skip-tables"});
     b.enterBurn = args.optionDouble("brownout-enter");
     b.escalationGrowth = args.optionDouble("brownout-growth");
     b.exitFraction = args.optionDouble("brownout-exit");
@@ -309,334 +463,42 @@ brownoutFromArgs(ArgParser &args)
     return b;
 }
 
-/**
- * Rejects nonsensical serve/shard configurations (negative rates,
- * impossible retry/hedge combinations, bad replica counts) with a
- * clear message; the caller exits with code 2.
- */
-std::string
-validateServingArgs(ArgParser &args, const std::string &command)
-{
-    if (args.optionInt("items") < 1)
-        return strprintf("--items must be >= 1 (got %lld)",
-                         static_cast<long long>(args.optionInt("items")));
-    if (args.optionInt("iters") < 1)
-        return strprintf("--iters must be >= 1 (got %lld)",
-                         static_cast<long long>(args.optionInt("iters")));
-    if (args.optionInt("batch") < 1)
-        return strprintf("--batch must be >= 1 (got %lld)",
-                         static_cast<long long>(args.optionInt("batch")));
-
-    std::string err = faultsFromArgs(args).validate();
-    if (!err.empty())
-        return err;
-    err = validateDeadlineSeconds(args.optionDouble("deadline-ms") / 1e3);
-    if (!err.empty())
-        return err;
-    if (args.optionDouble("mtbf-ms") > 0.0 &&
-        args.optionDouble("mttr-ms") <= 0.0) {
-        return strprintf("--mttr-ms must be positive when --mtbf-ms "
-                         "enables shard failures (got %g)",
-                         args.optionDouble("mttr-ms"));
-    }
-    err = obs::validateRequestLogArgs(
-        static_cast<int>(args.optionInt("request-log-k")),
-        args.optionDouble("request-log-window-ms") / 1e3,
-        !args.option("request-log-out").empty() ||
-            !args.option("exemplars-out").empty(),
-        args.explicitlySet("request-log-k"),
-        args.explicitlySet("request-log-window-ms"));
-    if (!err.empty())
-        return err;
-
-    if (command == "serve") {
-        if (args.optionDouble("rate") <= 0.0)
-            return strprintf("--rate must be a positive arrival rate "
-                             "(got %g items/s)",
-                             args.optionDouble("rate"));
-        if (args.optionDouble("sla-ms") <= 0.0)
-            return strprintf("--sla-ms must be positive (got %g)",
-                             args.optionDouble("sla-ms"));
-        if (args.optionInt("workers") < 1)
-            return strprintf("--workers must be >= 1 (got %lld)",
-                             static_cast<long long>(
-                                 args.optionInt("workers")));
-        AdmissionOptions admission;
-        admission.enabled = args.flag("admission");
-        admission.maxWaitFraction = args.optionDouble("admit-wait");
-        if (!(err = validateAdmissionOptions(admission)).empty())
-            return err;
-        DegradeOptions degrade;
-        degrade.enabled = args.optionInt("degrade-batch") > 0;
-        degrade.degradedMaxBatch = args.optionInt("degrade-batch");
-        degrade.backlogFactor = args.optionDouble("backlog-factor");
-        degrade.lowPriorityFraction = args.optionDouble("low-priority");
-        if (args.optionInt("degrade-batch") < 0)
-            return strprintf("--degrade-batch cannot be negative "
-                             "(got %lld)",
-                             static_cast<long long>(
-                                 args.optionInt("degrade-batch")));
-        if (!(err = validateDegradeOptions(degrade)).empty())
-            return err;
-        BrownoutOptions brownout = brownoutFromArgs(args);
-        if (!brownout.enabled) {
-            static const char *const kBrownoutKnobs[] = {
-                "brownout-enter", "brownout-growth", "brownout-exit",
-                "brownout-dwell-ms", "brownout-truncate",
-                "brownout-skip-tables"};
-            for (const char *knob : kBrownoutKnobs) {
-                if (args.explicitlySet(knob)) {
-                    return strprintf("--%s has no effect without "
-                                     "--brownout", knob);
-                }
-            }
-        }
-        if (!(err = brownout.validate()).empty())
-            return err;
-        // The corruption channel and the SDC defense ladder run in the
-        // sharded loop only; reject them up front like --brownout on
-        // shard rather than silently ignoring the knobs.
-        static const char *const kSdcKnobs[] = {
-            "corrupt-rate", "corrupt-zipf", "corrupt-multi-bit",
-            "corrupt-stuck-row", "corrupt-fc", "scrub-interval-ms",
-            "integrity-sample", "integrity-canary-ms", "repair-rtt-us",
-            "repair-gbps", "drain-density", "fault-log-out"};
-        for (const char *knob : kSdcKnobs) {
-            if (args.explicitlySet(knob)) {
-                return strprintf("--%s applies to shard only (the SDC "
-                                 "defense runs in the sharded loop)",
-                                 knob);
-            }
-        }
-        if (args.flag("integrity-guards"))
-            return "--integrity-guards applies to shard only (the SDC "
-                   "defense runs in the sharded loop)";
-        if (args.explicitlySet("corrupt-events"))
-            return "--corrupt-events applies to eval only (functional "
-                   "bit flips against real tables)";
-        int64_t cluster = args.optionInt("cluster-replicas");
-        int64_t healthy = args.optionInt("healthy-replicas");
-        if (cluster < 1)
-            return strprintf("--cluster-replicas must be >= 1 "
-                             "(got %lld)",
-                             static_cast<long long>(cluster));
-        if (healthy < 0 || healthy > cluster)
-            return strprintf("--healthy-replicas must be in [0, "
-                             "--cluster-replicas=%lld] (got %lld; 0 "
-                             "means all healthy)",
-                             static_cast<long long>(cluster),
-                             static_cast<long long>(healthy));
-    }
-
-    if (command == "shard") {
-        if (args.flag("brownout"))
-            return "--brownout applies to serve only (shard degrades "
-                   "via --deadline-ms, retries, and hedges)";
-        if (args.optionInt("nodes") < 1)
-            return strprintf("--nodes must be >= 1 (got %lld)",
-                             static_cast<long long>(
-                                 args.optionInt("nodes")));
-        RetryPolicy retry = retryFromArgs(args);
-        if (!(err = validateRetryPolicy(retry)).empty())
-            return err;
-        if (!(err = validateHedgePolicy(hedgeFromArgs(args), retry))
-                 .empty())
-            return err;
-        // Retries that could never fire are a configuration mistake,
-        // but only when the user actually asked for them.
-        if (args.explicitlySet("retries") && retry.maxRetries > 0 &&
-            retry.timeoutSeconds <= 0.0 &&
-            args.optionDouble("mtbf-ms") <= 0.0) {
-            return "--retries can never trigger with a zero "
-                   "--timeout-ms and no shard failures (--mtbf-ms 0); "
-                   "set a timeout, enable failures, or use --retries 0";
-        }
-        std::string replica_err;
-        ReplicaOptions replicas = replicasFromArgs(args, &replica_err);
-        if (!replica_err.empty())
-            return replica_err;
-        if (!(err = replicas.validate()).empty())
-            return err;
-        if (args.optionInt("chaos-events") < 0)
-            return strprintf("--chaos-events cannot be negative "
-                             "(got %lld)",
-                             static_cast<long long>(
-                                 args.optionInt("chaos-events")));
-        if (args.optionDouble("chaos-ms") <= 0.0 &&
-            args.optionInt("chaos-events") > 0) {
-            return strprintf("--chaos-ms must be positive when chaos "
-                             "windows are scripted (got %g)",
-                             args.optionDouble("chaos-ms"));
-        }
-        if (args.explicitlySet("corrupt-events"))
-            return "--corrupt-events applies to eval only (functional "
-                   "bit flips against real tables)";
-        // Sub-knobs of the corruption channel do nothing without an
-        // event rate, mirroring the brownout-knob convention.
-        if (args.optionDouble("corrupt-rate") <= 0.0) {
-            static const char *const kCorruptKnobs[] = {
-                "corrupt-zipf", "corrupt-multi-bit",
-                "corrupt-stuck-row", "corrupt-fc"};
-            for (const char *knob : kCorruptKnobs) {
-                if (args.explicitlySet(knob)) {
-                    return strprintf("--%s has no effect without "
-                                     "--corrupt-rate", knob);
-                }
-            }
-        }
-        // 0 is the "off" default; an explicit rate must be usable.
-        double sample = args.optionDouble("integrity-sample");
-        if (args.explicitlySet("integrity-sample") &&
-            (sample <= 0.0 || sample > 1.0)) {
-            return strprintf("--integrity-sample must be in (0, 1] "
-                             "(got %g)", sample);
-        }
-        if (!(err = sdcFromArgs(args).validate()).empty())
-            return err;
-    }
-    return "";
-}
-
-/**
- * Observability plumbing shared by time/serve/shard/eval: --trace-out
- * enables the tracer for the run, --counters / --timeseries-out turn
- * on the hardware-model telemetry (and its virtual-time sampler), and
- * --metrics-out writes the drained registry as JSON (plus a summary
- * table on stdout).
- */
-void
-obsBegin(ArgParser &args)
-{
-    obs::MetricsRegistry::global().reset();
-    if (!args.option("trace-out").empty()) {
-        obs::Tracer::global().clear();
-        obs::Tracer::global().setEnabled(true);
-    }
-    bool want_timeseries = !args.option("timeseries-out").empty();
-    if (args.flag("counters") || want_timeseries) {
-        obs::HwTelemetry::global().reset();
-        obs::HwTelemetry::global().setEnabled(true);
-    }
-    if (want_timeseries) {
-        obs::TimeSeriesOptions topts;
-        topts.intervalSeconds =
-            args.optionDouble("timeseries-interval-ms") / 1e3;
-        obs::TimeSeriesSampler::global().configure(topts);
-        obs::TimeSeriesSampler::global().setEnabled(true);
-    }
-    if (!args.option("request-log-out").empty() ||
-        !args.option("exemplars-out").empty()) {
-        obs::RequestLogOptions ropts;
-        ropts.slowestK =
-            static_cast<int>(args.optionInt("request-log-k"));
-        ropts.windowSeconds =
-            args.optionDouble("request-log-window-ms") / 1e3;
-        obs::RequestLogger::global().configure(ropts);
-        obs::RequestLogger::global().setEnabled(true);
-    }
-}
-
-void
-obsEnd(ArgParser &args)
-{
-    // Export telemetry into the registry before the snapshot so the
-    // metrics file carries the final counter values (check_trace.py
-    // cross-checks the trace's counter tracks against them). Kernel
-    // counters follow the same rule: trace tracks first (while the
-    // tracer is still enabled), then the matching metrics export.
-    KernelCache &kcache = KernelCache::global();
-    kcache.emitTraceCounters(obs::Tracer::global());
-    kcache.exportMetrics(obs::MetricsRegistry::global());
-    obs::HwTelemetry &telem = obs::HwTelemetry::global();
-    if (telem.enabled())
-        telem.exportTo(obs::MetricsRegistry::global());
-    obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
-    if (sampler.enabled()) {
-        sampler.exportTo(obs::MetricsRegistry::global());
-        const std::string &ts_path = args.option("timeseries-out");
-        if (!ts_path.empty() && sampler.writeFile(ts_path)) {
-            std::printf("  timeseries:    wrote %s (%zu samples)\n",
-                        ts_path.c_str(), sampler.size());
-        }
-    }
-    obs::RequestLogger &rlog = obs::RequestLogger::global();
-    if (rlog.enabled()) {
-        // Export before the metrics snapshot so the tail.blame.*
-        // gauges land in --metrics-out; a run without logging never
-        // calls exportTo, keeping its metric set byte-identical.
-        rlog.exportTo(obs::MetricsRegistry::global());
-        const std::string &rl_path = args.option("request-log-out");
-        if (!rl_path.empty() && rlog.writeFile(rl_path)) {
-            std::printf("  request log:   wrote %s (%zu records)\n",
-                        rl_path.c_str(), rlog.size());
-        }
-        const std::string &ex_path = args.option("exemplars-out");
-        if (!ex_path.empty() && rlog.writeExemplars(ex_path)) {
-            std::printf("  exemplars:     wrote %s\n", ex_path.c_str());
-        }
-    }
-    telem.setEnabled(false);
-    sampler.setEnabled(false);
-    rlog.setEnabled(false);
-
-    obs::Tracer &tracer = obs::Tracer::global();
-    const std::string &trace_path = args.option("trace-out");
-    if (!trace_path.empty()) {
-        tracer.setEnabled(false);
-        if (tracer.writeFile(trace_path)) {
-            std::printf("  trace:         wrote %s (%zu events)\n",
-                        trace_path.c_str(), tracer.snapshot().size());
-        }
-    }
-    const std::string &metrics_path = args.option("metrics-out");
-    if (metrics_path.empty())
-        return;
-    obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
-    std::string json = snap.toJson();
-    std::FILE *f = std::fopen(metrics_path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "warning: cannot write %s\n",
-                     metrics_path.c_str());
-    } else {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("  metrics:       wrote %s\n", metrics_path.c_str());
-    }
-    std::printf("metrics summary:\n%s", snap.table().c_str());
-}
-
 int
-cmdServe(ArgParser &args)
+cmdServe(const ArgParser &args)
 {
-    obsBegin(args);
+    const Sinks sinks = sinksFromArgs(args, true);
     ModelConfig cfg = modelByName(args.option("model"));
     MachineSpec machine = machineByName(args.option("machine"));
+    const double rate = args.optionDouble("rate");
+    if (rate <= 0.0) {
+        throw UsageError(strprintf("--rate must be a positive arrival "
+                                   "rate (got %g items/s)", rate));
+    }
+    const auto items = intArg<uint64_t>(args, "items", 1);
+
     ServerOptions sopts;
-    sopts.numWorkers = static_cast<uint32_t>(args.optionInt("workers"));
-    sopts.maxBatch = args.optionInt("batch");
+    sopts.numWorkers = intArg<uint32_t>(args, "workers", 1);
+    sopts.maxBatch = batchArg(args);
     sopts.slaSeconds = args.optionDouble("sla-ms") / 1e3;
     sopts.admission.enabled = args.flag("admission");
     sopts.admission.maxWaitFraction = args.optionDouble("admit-wait");
-    sopts.degrade.enabled = args.optionInt("degrade-batch") > 0;
-    sopts.degrade.degradedMaxBatch = args.optionInt("degrade-batch");
+    sopts.degrade.degradedMaxBatch =
+        intArg<int64_t>(args, "degrade-batch", 0);
+    sopts.degrade.enabled = sopts.degrade.degradedMaxBatch > 0;
     sopts.degrade.backlogFactor = args.optionDouble("backlog-factor");
     sopts.degrade.lowPriorityFraction = args.optionDouble("low-priority");
-    sopts.clusterReplicas =
-        static_cast<uint32_t>(args.optionInt("cluster-replicas"));
-    sopts.healthyReplicas =
-        static_cast<uint32_t>(args.optionInt("healthy-replicas"));
+    sopts.clusterReplicas = intArg<uint32_t>(args, "cluster-replicas", 1);
+    sopts.healthyReplicas = intArg<uint32_t>(args, "healthy-replicas", 0);
     sopts.deadlineSeconds = args.optionDouble("deadline-ms") / 1e3;
     sopts.brownout = brownoutFromArgs(args);
-    FaultOptions faults = faultsFromArgs(args);
-    faults.shardMtbfSeconds = 0.0; // shard failures only apply to shard
-    sopts.faults = faults;
+    sopts.faults = faultsFromArgs(args);
+    usageCheck(sopts.validate());
 
+    obsBegin(sinks);
     TimerOptions topts;
     topts.backend = activeBackendConfig();
     Server server(machine, cfg, topts, sopts);
-    ServingStats stats = server.runOpenLoop(
-        args.optionDouble("rate"),
-        static_cast<uint64_t>(args.optionInt("items")));
+    ServingStats stats = server.runOpenLoop(rate, items);
 
     std::printf("serving %s on %s: %u workers, max batch %lld, SLA "
                 "%.1f ms\n", cfg.name.c_str(), machine.name.c_str(),
@@ -650,8 +512,7 @@ cmdServe(ArgParser &args)
                     sopts.clusterReplicas,
                     static_cast<double>(sopts.clusterReplicas) / healthy);
     }
-    std::printf("  offered rate:  %10.0f items/s\n",
-                args.optionDouble("rate"));
+    std::printf("  offered rate:  %10.0f items/s\n", rate);
     if (sopts.deadlineSeconds > 0.0) {
         std::printf("  deadline:      %10.1f ms budget%s\n",
                     sopts.deadlineSeconds * 1e3,
@@ -663,7 +524,7 @@ cmdServe(ArgParser &args)
                    obs::MetricsRegistry::global().snapshot())
                    .c_str(),
                stdout);
-    obsEnd(args);
+    obsEnd(sinks);
     return 0;
 }
 
@@ -734,37 +595,144 @@ printSdcSummary(const RunResult &r)
     }
 }
 
-/** Write the reproducibility fault log when --fault-log-out is set. */
-void
-writeFaultLog(ArgParser &args, const FaultLog &log)
+/** Memory-corruption channel of the shard failure model; its
+ *  sub-knobs do nothing without an event rate. */
+CorruptionOptions
+corruptionFromArgs(const ArgParser &args)
 {
-    const std::string &path = args.option("fault-log-out");
-    if (path.empty())
-        return;
-    log.writeFile(path);
-    std::printf("  fault log:     wrote %s (%zu events)\n", path.c_str(),
-                log.size());
+    CorruptionOptions c;
+    c.ratePerSec = args.optionDouble("corrupt-rate");
+    requireSwitch(args, c.ratePerSec > 0.0, "--corrupt-rate",
+                  {"corrupt-zipf", "corrupt-multi-bit", "corrupt-stuck-row",
+                   "corrupt-fc"});
+    c.zipfAlpha = args.optionDouble("corrupt-zipf");
+    c.multiBitFraction = args.optionDouble("corrupt-multi-bit");
+    c.stuckRowFraction = args.optionDouble("corrupt-stuck-row");
+    c.fcFraction = args.optionDouble("corrupt-fc");
+    return c;
+}
+
+/** SDC detection/recovery ladder options (shard). */
+SdcOptions
+sdcFromArgs(const ArgParser &args)
+{
+    SdcOptions s;
+    s.scrubIntervalSeconds = args.optionDouble("scrub-interval-ms") / 1e3;
+    s.inlineSampleRate = integritySampleArg(args);
+    s.outputGuards = args.flag("integrity-guards");
+    s.canaryIntervalSeconds =
+        args.optionDouble("integrity-canary-ms") / 1e3;
+    s.repairRttSeconds = args.optionDouble("repair-rtt-us") / 1e6;
+    s.repairBandwidthGBps = args.optionDouble("repair-gbps");
+    s.drainDensity = args.optionDouble("drain-density");
+    return s;
+}
+
+/** The failover layer of `shard --replicas R` (R >= 2). */
+ReplicaOptions
+replicasFromArgs(const ArgParser &args, uint32_t replicas)
+{
+    ReplicaOptions r;
+    r.replicas = replicas;
+    if (!routerPolicyFromName(args.option("router"), &r.router)) {
+        throw UsageError(strprintf("unknown --router '%s' (try: "
+                                   "primary-first, least-loaded, p2c)",
+                                   args.option("router").c_str()));
+    }
+    r.breaker.errorThreshold = intArg<int>(args, "breaker-errors", 1);
+    r.breaker.openSeconds = args.optionDouble("breaker-open-ms") / 1e3;
+    r.breaker.probeAdmitProb = args.optionDouble("breaker-probe");
+    r.breaker.closeAfterProbes =
+        intArg<int>(args, "breaker-close-probes", 1);
+    r.warmupSeconds = args.optionDouble("warmup-ms") / 1e3;
+    r.warmupFactor = args.optionDouble("warmup-factor");
+    r.seed = static_cast<uint64_t>(args.optionInt("fault-seed"));
+    return r;
 }
 
 int
-cmdShard(ArgParser &args)
+cmdShard(const ArgParser &args)
 {
-    obsBegin(args);
+    const Sinks sinks = sinksFromArgs(args, true);
     ModelConfig cfg = modelByName(args.option("model"));
     MachineSpec machine = machineByName(args.option("machine"));
     TimerOptions topts;
-    topts.batch = args.optionInt("batch");
+    topts.batch = batchArg(args);
     topts.backend = activeBackendConfig();
-    auto nodes = static_cast<uint32_t>(args.optionInt("nodes"));
-    int iters = static_cast<int>(args.optionInt("iters"));
+    const auto nodes = intArg<uint32_t>(args, "nodes", 1);
+    if (nodes > cfg.emb.numTables) {
+        throw UsageError(strprintf("--nodes %u exceeds %s's %lld embedding "
+                                   "tables", nodes, cfg.name.c_str(),
+                                   static_cast<long long>(
+                                       cfg.emb.numTables)));
+    }
 
-    FaultOptions faults = faultsFromArgs(args);
-    RetryPolicy retry = retryFromArgs(args);
-    HedgePolicy hedge = hedgeFromArgs(args);
-    std::string replica_err;
-    ReplicaOptions replicas = replicasFromArgs(args, &replica_err);
-    RP_ASSERT(replica_err.empty(), "%s", replica_err.c_str());
+    RunOptions ropts;
+    ropts.warmupIters = 20;
+    ropts.measureIters = intArg<int>(args, "iters", 1);
+    // Redundant with topts.backend for the CLI, but exercises the
+    // run-level override every embedding client can use.
+    ropts.backend = activeBackendConfig();
+    FaultOptions &faults = ropts.faults;
+    faults = faultsFromArgs(args);
+    faults.shardMtbfSeconds = args.optionDouble("mtbf-ms") / 1e3;
+    faults.shardMttrSeconds = args.optionDouble("mttr-ms") / 1e3;
+    faults.corruption = corruptionFromArgs(args);
+    ropts.retry.timeoutSeconds = args.optionDouble("timeout-ms") / 1e3;
+    ropts.retry.maxRetries = intArg<int>(args, "retries", 0);
+    // Retries that could never fire are a configuration mistake, but
+    // only when the user actually asked for them.
+    if (args.explicitlySet("retries") && ropts.retry.maxRetries > 0 &&
+        ropts.retry.timeoutSeconds <= 0.0 &&
+        faults.shardMtbfSeconds <= 0.0) {
+        throw UsageError("--retries can never trigger with a zero "
+                         "--timeout-ms and no shard failures (--mtbf-ms "
+                         "0); set a timeout, enable failures, or use "
+                         "--retries 0");
+    }
+    ropts.hedge.enabled = args.flag("hedge");
+    requireSwitch(args, ropts.hedge.enabled, "--hedge", {"hedge-ms"});
+    ropts.hedge.delaySeconds = args.optionDouble("hedge-ms") / 1e3;
+    ropts.deadlineSeconds = args.optionDouble("deadline-ms") / 1e3;
+    ropts.sdc = sdcFromArgs(args);
 
+    // One replica runs the single-copy path, where a hedge assumes an
+    // implicit spare replica: `ropts.replicas` stays disengaged, and
+    // the failover layer's knobs would do nothing.
+    const auto replica_count = intArg<uint32_t>(args, "replicas", 1);
+    const bool replicated = replica_count > 1;
+    requireSwitch(args, replicated, "--replicas >= 2",
+                  {"router", "breaker-errors", "breaker-open-ms",
+                   "breaker-probe", "breaker-close-probes", "warmup-ms",
+                   "warmup-factor", "chaos-events", "chaos-ms"});
+    ChaosSchedule chaos;
+    const auto chaos_events = intArg<uint32_t>(args, "chaos-events", 0);
+    const double chaos_ms = args.optionDouble("chaos-ms");
+    if (replicated)
+        ropts.replicas = replicasFromArgs(args, replica_count);
+    if (replicated && chaos_events > 0) {
+        if (chaos_ms <= 0.0) {
+            throw UsageError(strprintf("--chaos-ms must be positive when "
+                                       "chaos windows are scripted (got "
+                                       "%g)", chaos_ms));
+        }
+        // Horizon heuristic: virtual time advances by roughly one
+        // per-inference latency per iteration; scale from the SLA-ish
+        // chaos window length instead of pre-timing the model.
+        double horizon =
+            static_cast<double>(ropts.measureIters) * chaos_ms / 1e3;
+        chaos = ChaosSchedule::random(faults.seed, nodes, replica_count,
+                                      horizon, chaos_events,
+                                      chaos_ms / 1e3);
+        ropts.chaos = &chaos;
+    }
+    usageCheck(ropts.validate());
+    const std::string &fault_log_path = args.option("fault-log-out");
+    FaultLog fault_log;
+    if (!fault_log_path.empty())
+        ropts.faultLog = &fault_log;
+
+    obsBegin(sinks);
     ShardedInference sim(machine, cfg, nodes, NetworkConfig{}, topts);
 
     std::printf("sharded %s on %u x %s, batch %lld (straggler p=%.2f, "
@@ -772,26 +740,11 @@ cmdShard(ArgParser &args)
                 machine.name.c_str(),
                 static_cast<long long>(topts.batch),
                 faults.stragglerProb, faults.shardMtbfSeconds * 1e3,
-                hedge.enabled ? "on" : "off");
-
-    RunOptions ropts;
-    ropts.warmupIters = 20;
-    ropts.measureIters = iters;
-    // Redundant with topts.backend for the CLI, but exercises the
-    // run-level override every embedding client can use.
-    ropts.backend = activeBackendConfig();
-    ropts.faults = faults;
-    ropts.retry = retry;
-    ropts.hedge = hedge;
-    ropts.deadlineSeconds = args.optionDouble("deadline-ms") / 1e3;
+                ropts.hedge.enabled ? "on" : "off");
     if (ropts.deadlineSeconds > 0.0) {
         std::printf("  deadline:      %10.1f ms budget per inference\n",
                     ropts.deadlineSeconds * 1e3);
     }
-    ropts.sdc = sdcFromArgs(args);
-    FaultLog fault_log;
-    if (!args.option("fault-log-out").empty())
-        ropts.faultLog = &fault_log;
     if (faults.corruption.enabled() || ropts.sdc.anyDefense()) {
         std::printf("  sdc:           %.1f corruptions/s, scrub %.1f ms, "
                     "inline %.2f, guards %s, canary %.1f ms\n",
@@ -802,35 +755,16 @@ cmdShard(ArgParser &args)
                     ropts.sdc.canaryIntervalSeconds * 1e3);
     }
 
-    // One replica runs the single-copy path, where a hedge assumes an
-    // implicit spare replica: `ropts.replicas` stays disengaged.
-    const bool replicated = replicas.replicas > 1;
-    ChaosSchedule chaos;
-    auto chaos_events =
-        static_cast<uint32_t>(args.optionInt("chaos-events"));
-    if (replicated)
-        ropts.replicas = replicas;
-    if (replicated && chaos_events > 0) {
-        // Horizon heuristic: virtual time advances by roughly one
-        // per-inference latency per iteration; scale from the SLA-ish
-        // chaos window length instead of pre-timing the model.
-        double horizon = static_cast<double>(iters) *
-            args.optionDouble("chaos-ms") / 1e3;
-        chaos = ChaosSchedule::random(
-            faults.seed, nodes, replicas.replicas, horizon, chaos_events,
-            args.optionDouble("chaos-ms") / 1e3);
-        ropts.chaos = &chaos;
-    }
-
     RunResult r = sim.run(ropts);
     if (replicated) {
+        const ReplicaOptions &rep = *ropts.replicas;
         std::printf("  failover layer: %u replicas/shard, router %s, "
                     "breaker %d errors -> open %.1f ms, warm-up %.2fx "
-                    "over %.1f ms%s\n", replicas.replicas,
-                    routerPolicyName(replicas.router),
-                    replicas.breaker.errorThreshold,
-                    replicas.breaker.openSeconds * 1e3,
-                    r.warmupFactorUsed, replicas.warmupSeconds * 1e3,
+                    "over %.1f ms%s\n", rep.replicas,
+                    routerPolicyName(rep.router),
+                    rep.breaker.errorThreshold,
+                    rep.breaker.openSeconds * 1e3, r.warmupFactorUsed,
+                    rep.warmupSeconds * 1e3,
                     chaos_events > 0
                         ? strprintf(", %u chaos windows", chaos_events)
                             .c_str()
@@ -856,52 +790,44 @@ cmdShard(ArgParser &args)
                     "replicas' caches\n", r.warmupPenaltySeconds * 1e3);
     }
     printSdcSummary(r);
-    writeFaultLog(args, fault_log);
+    if (!fault_log_path.empty()) {
+        fault_log.writeFile(fault_log_path);
+        std::printf("  fault log:     wrote %s (%zu events)\n",
+                    fault_log_path.c_str(), fault_log.size());
+    }
     r.exportTo(obs::MetricsRegistry::global());
-    obsEnd(args);
+    obsEnd(sinks);
     return 0;
 }
 
 int
-cmdEval(ArgParser &args)
+cmdEval(const ArgParser &args)
 {
     // Unlike `time` (the calibrated timing model), this executes the
     // real tensor graph on the thread pool and reports wall-clock
     // throughput — the honest hot path the execution engine serves.
+    const Sinks sinks = sinksFromArgs(args, false);
+    const int64_t rows_cap = intArg<int64_t>(args, "rows-cap", 1);
     ModelConfig cfg =
-        modelByName(args.option("model"))
-            .functionalScale(args.optionInt("rows-cap"));
-    int64_t batch = args.optionInt("batch");
-    int iters = static_cast<int>(args.optionInt("iters"));
-    Rng rng(static_cast<uint64_t>(args.optionInt("seed")));
-    RecModel model(cfg, rng);
-    ModelInput input = model.randomInput(batch, rng);
+        modelByName(args.option("model")).functionalScale(rows_cap);
+    const int64_t batch = batchArg(args);
+    const int iters = intArg<int>(args, "iters", 1);
 
     // Functional integrity: shield the real tables with per-row
     // checksums, optionally flip seeded bits into them, and let the
     // inline SLS hook detect and repair whatever the fixed input
     // actually gathers. With --integrity-sample alone the output
     // checksum is bit-identical to an unshielded run.
-    double sample = args.optionDouble("integrity-sample");
-    int64_t flips = args.optionInt("corrupt-events");
-    if (args.explicitlySet("integrity-sample") &&
-        (sample <= 0.0 || sample > 1.0)) {
-        std::fprintf(stderr, "error: --integrity-sample must be in "
-                             "(0, 1] (got %g)\n", sample);
-        return 2;
-    }
-    if (flips < 0) {
-        std::fprintf(stderr, "error: --corrupt-events cannot be "
-                             "negative (got %lld)\n",
-                     static_cast<long long>(flips));
-        return 2;
-    }
+    const double sample = integritySampleArg(args);
+    const int64_t flips = intArg<int64_t>(args, "corrupt-events", 0);
     if (flips > 0 && sample <= 0.0) {
-        std::fprintf(stderr, "error: --corrupt-events needs "
-                             "--integrity-sample to detect and repair "
-                             "the flips\n");
-        return 2;
+        throw UsageError("--corrupt-events needs --integrity-sample to "
+                         "detect and repair the flips");
     }
+
+    Rng rng(static_cast<uint64_t>(args.optionInt("seed")));
+    RecModel model(cfg, rng);
+    ModelInput input = model.randomInput(batch, rng);
     std::vector<std::unique_ptr<IntegrityShield>> shields;
     if (sample > 0.0) {
         IntegrityRuntime &integrity = IntegrityRuntime::global();
@@ -933,7 +859,7 @@ cmdEval(ArgParser &args)
 
     for (int i = 0; i < 2; ++i)
         (void)model.forward(input); // warm-up
-    obsBegin(args);
+    obsBegin(sinks);
     obs::LatencyHistogram batch_hist =
         obs::MetricsRegistry::global().histogram("eval.batch_seconds");
     auto start = std::chrono::steady_clock::now();
@@ -954,8 +880,7 @@ cmdEval(ArgParser &args)
 
     std::printf("eval %s (rows capped at %lld), batch %lld, "
                 "%d threads:\n",
-                cfg.name.c_str(),
-                static_cast<long long>(args.optionInt("rows-cap")),
+                cfg.name.c_str(), static_cast<long long>(rows_cap),
                 static_cast<long long>(batch), globalThreadCount());
     std::printf("  latency:    %10.3f ms / batch (measured)\n",
                 secs * 1e3);
@@ -965,14 +890,8 @@ cmdEval(ArgParser &args)
     // --isa this line is bit-identical across thread counts and cache
     // cold/warm runs (CI diffs it as the determinism anchor).
     Tensor out = model.forward(input);
-    const unsigned char *bytes =
-        reinterpret_cast<const unsigned char *>(out.data());
-    uint64_t hash = 0xcbf29ce484222325ULL;
-    for (size_t i = 0; i < static_cast<size_t>(out.size()) * sizeof(float);
-         ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-    }
+    uint64_t hash = fnv1a(out.data(),
+                          static_cast<size_t>(out.size()) * sizeof(float));
     std::printf("  checksum:   %016llx (isa %s)\n",
                 static_cast<unsigned long long>(hash),
                 KernelCache::global().policy().autoSelect
@@ -996,37 +915,39 @@ cmdEval(ArgParser &args)
     }
     if (args.flag("dump-kernel-cache"))
         std::fputs(KernelCache::global().dumpTable().c_str(), stdout);
-    obsEnd(args);
+    obsEnd(sinks);
     return 0;
 }
 
 int
-cmdTrace(ArgParser &args)
+cmdTrace(const ArgParser &args)
 {
     TraceProfile profile{"cli", args.optionDouble("zipf"),
                          args.optionDouble("repeat"), 8192};
+    const int64_t rows = intArg<int64_t>(args, "rows", 1);
+    const auto items = intArg<size_t>(args, "items", 1);
     Rng rng(static_cast<uint64_t>(args.optionInt("seed")));
-    auto gen = makeGenerator(profile, args.optionInt("rows"),
-                             rng.split());
-    auto trace = gen->draw(
-        static_cast<size_t>(args.optionInt("items")));
+    auto gen = makeGenerator(profile, rows, rng.split());
+    auto trace = gen->draw(items);
     std::printf("trace: zipf alpha %.2f, repeat prob %.2f over %lld "
                 "rows\n", profile.zipfAlpha, profile.repeatProb,
-                static_cast<long long>(args.optionInt("rows")));
+                static_cast<long long>(rows));
     std::printf("  unique sparse IDs: %.1f%% of %zu draws\n",
                 uniqueFraction(trace) * 100.0, trace.size());
     return 0;
 }
 
-/** Slurp a whole file; false (with a message in @p err) on failure. */
+/** Slurp the file at option @p flag into @p out; false when the option
+ *  is empty; unreadable is an argument error. */
 bool
-readFile(const std::string &path, std::string *out, std::string *err)
+readArtifact(const ArgParser &args, const char *flag, std::string *out)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        *err = strprintf("cannot read %s", path.c_str());
+    const std::string &path = args.option(flag);
+    if (path.empty())
         return false;
-    }
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        throw UsageError(strprintf("cannot read %s", path.c_str()));
     out->clear();
     char buf[4096];
     size_t n;
@@ -1036,76 +957,10 @@ readFile(const std::string &path, std::string *out, std::string *err)
     return true;
 }
 
+/** Print a rendered view; an empty one failed with @p err (exit 1). */
 int
-cmdReport(ArgParser &args)
+printRendered(const std::string &view, const std::string &err)
 {
-    obs::ReportInputs inputs;
-    std::string err;
-    const struct
-    {
-        const char *flag;
-        std::string *dst;
-    } sources[] = {{"metrics", &inputs.metricsJson},
-                   {"trace", &inputs.traceJson},
-                   {"timeseries", &inputs.timeseriesJsonl}};
-    bool any = false;
-    for (const auto &src : sources) {
-        const std::string &path = args.option(src.flag);
-        if (path.empty())
-            continue;
-        if (!readFile(path, src.dst, &err)) {
-            std::fprintf(stderr, "error: %s\n", err.c_str());
-            return 2;
-        }
-        any = true;
-    }
-    if (!any) {
-        std::fprintf(stderr,
-                     "error: report needs at least one artifact "
-                     "(--metrics, --trace, and/or --timeseries)\n");
-        return 2;
-    }
-    std::string report = obs::renderReport(inputs, err);
-    if (report.empty()) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 1;
-    }
-    std::fputs(report.c_str(), stdout);
-    return 0;
-}
-
-int
-cmdExplain(ArgParser &args)
-{
-    obs::ExplainInputs inputs;
-    std::string err;
-    const std::string &log_path = args.option("request-log");
-    if (log_path.empty()) {
-        std::fprintf(stderr,
-                     "error: explain needs --request-log FILE (a "
-                     "serve/shard --request-log-out artifact); join a "
-                     "--metrics export to cross-check the blame "
-                     "gauges\n");
-        return 2;
-    }
-    if (!readFile(log_path, &inputs.requestLogJsonl, &err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 2;
-    }
-    const std::string &metrics_path = args.option("metrics");
-    if (!metrics_path.empty() &&
-        !readFile(metrics_path, &inputs.metricsJson, &err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 2;
-    }
-    if (args.optionInt("top") < 1) {
-        std::fprintf(stderr,
-                     "error: --top must be >= 1 (got %lld)\n",
-                     static_cast<long long>(args.optionInt("top")));
-        return 2;
-    }
-    inputs.top = static_cast<int>(args.optionInt("top"));
-    std::string view = obs::renderExplain(inputs, err);
     if (view.empty()) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
         return 1;
@@ -1115,7 +970,39 @@ cmdExplain(ArgParser &args)
 }
 
 int
-cmdZoo()
+cmdReport(const ArgParser &args)
+{
+    obs::ReportInputs inputs;
+    bool any = readArtifact(args, "metrics", &inputs.metricsJson);
+    any |= readArtifact(args, "trace", &inputs.traceJson);
+    any |= readArtifact(args, "timeseries", &inputs.timeseriesJsonl);
+    if (!any) {
+        throw UsageError("report needs at least one artifact (--metrics, "
+                         "--trace, and/or --timeseries)");
+    }
+    std::string err;
+    std::string report = obs::renderReport(inputs, err);
+    return printRendered(report, err);
+}
+
+int
+cmdExplain(const ArgParser &args)
+{
+    obs::ExplainInputs inputs;
+    if (!readArtifact(args, "request-log", &inputs.requestLogJsonl)) {
+        throw UsageError("explain needs --request-log FILE (a serve/shard "
+                         "--request-log-out artifact); join a --metrics "
+                         "export to cross-check the blame gauges");
+    }
+    readArtifact(args, "metrics", &inputs.metricsJson);
+    inputs.top = intArg<int>(args, "top", 1);
+    std::string err;
+    std::string view = obs::renderExplain(inputs, err);
+    return printRendered(view, err);
+}
+
+int
+cmdZoo(const ArgParser &)
 {
     std::printf("model zoo:\n");
     for (const ModelConfig &cfg : allZooModels()) {
@@ -1140,347 +1027,386 @@ cmdZoo()
     return 0;
 }
 
+/**
+ * Resolves the global group: --threads and the backend spec, where the
+ * backend family and kernel ISA tier are one validated unit (flag > env
+ * > default for each component). Both sources are validated: a bad env
+ * var is an error even when an explicit flag would override it.
+ */
+void
+applyGlobalOptions(const ArgParser &args)
+{
+    const int threads = intArg<int>(args, "threads", 0);
+    if (threads > 0)
+        setGlobalThreadCount(threads);
+
+    std::string backend_name = args.option("backend");
+    if (const char *env = std::getenv("RECPERF_BACKEND")) {
+        if (!backendKindFromName(env, nullptr)) {
+            throw UsageError(strprintf("RECPERF_BACKEND: unknown backend "
+                                       "'%s' (expected cpu|nmp)", env));
+        }
+        if (!args.explicitlySet("backend"))
+            backend_name = env;
+    }
+    std::string isa_name = args.option("isa");
+    if (const char *env = std::getenv("RECPERF_ISA")) {
+        IsaPolicy probe;
+        std::string env_err = isaPolicyFromName(env, &probe);
+        if (!env_err.empty())
+            throw UsageError("RECPERF_ISA: " + env_err);
+        if (!args.explicitlySet("isa"))
+            isa_name = env;
+    }
+    BackendConfig backend;
+    std::string err = backendConfigFromSpec(backend_name, isa_name, &backend);
+    if (!err.empty())
+        throw UsageError("--backend/--isa: " + err);
+
+    const bool nmp = backend.kind == BackendKind::Nmp;
+    requireSwitch(args, nmp, "--backend=nmp",
+                  {"nmp-ranks", "nmp-rank-gbps", "nmp-row-ns",
+                   "nmp-link-gbps", "nmp-launch-us", "nmp-placement",
+                   "nmp-min-table-kb", "nmp-host-llc-frac"});
+    if (nmp) {
+        NmpConfig &cfg = backend.nmp;
+        cfg.ranks = intArg<uint32_t>(args, "nmp-ranks", 0);
+        cfg.rankGBps = args.optionDouble("nmp-rank-gbps");
+        cfg.rowAccessNs = args.optionDouble("nmp-row-ns");
+        cfg.linkGBps = args.optionDouble("nmp-link-gbps");
+        cfg.launchUs = args.optionDouble("nmp-launch-us");
+        cfg.minTableBytes =
+            intArg<uint64_t>(args, "nmp-min-table-kb", 0) * 1024;
+        cfg.hostLlcFraction = args.optionDouble("nmp-host-llc-frac");
+        if (!nmpPlacementFromName(args.option("nmp-placement"),
+                                  &cfg.placement)) {
+            throw UsageError(strprintf("--nmp-placement: unknown policy "
+                                       "'%s' (expected auto|all|none)",
+                                       args.option("nmp-placement")
+                                           .c_str()));
+        }
+        err = cfg.validate();
+        if (!err.empty())
+            throw UsageError("--backend=nmp: " + err);
+    }
+    setActiveBackend(backend);
+}
+
+/**
+ * Option groups. A knob belongs to the group of every command that
+ * reads it, and each command registers only its own groups, so a knob
+ * the command would ignore is an unknown argument.
+ */
+enum Group : unsigned
+{
+    kGlobal = 1u << 0,     ///< --help, --threads and the backend spec
+    kModel = 1u << 1,      ///< model and batch
+    kMachine = 1u << 2,    ///< simulated machine
+    kSinks = 1u << 3,      ///< trace, metrics, counters, time series
+    kRequestLog = 1u << 4, ///< per-request log (serving lanes only)
+    kFaults = 1u << 5,     ///< service-time faults and deadline budget
+    kTime = 1u << 6,
+    kColocate = 1u << 7,
+    kServe = 1u << 8,
+    kShard = 1u << 9,
+    kEval = 1u << 10,
+    kTrace = 1u << 11,
+    kReport = 1u << 12,
+    kExplain = 1u << 13,
+};
+
+/** One command-line knob, declared once. */
+struct Knob
+{
+    const char *name;
+    unsigned groups;
+    ArgType type;
+    const char *def; ///< nullptr for a boolean flag
+    const char *help;
+};
+
+constexpr ArgType kInt = ArgType::Int;
+constexpr ArgType kNum = ArgType::Number;
+constexpr ArgType kText = ArgType::Text;
+
+const Knob kKnobs[] = {
+    {"help", kGlobal, kText, nullptr, "show this help"},
+    {"threads", kGlobal, kInt, "0",
+     "tensor-op worker threads (0 = RECPERF_THREADS or hardware)"},
+    {"backend", kGlobal, kText, "cpu",
+     "compute backend: cpu|nmp (overrides RECPERF_BACKEND; nmp "
+     "offloads SparseLengthsSum to a near-memory engine)"},
+    {"isa", kGlobal, kText, "auto",
+     "kernel ISA tier: scalar|avx2|avx512|auto (overrides RECPERF_ISA; "
+     "pinned tiers are bit-deterministic; part of the backend spec)"},
+    {"nmp-ranks", kGlobal, kInt, "8",
+     "PIM-enabled memory ranks (nmp backend)"},
+    {"nmp-rank-gbps", kGlobal, kNum, "9.6",
+     "in-rank gather bandwidth per rank, GB/s (nmp)"},
+    {"nmp-row-ns", kGlobal, kNum, "50",
+     "per-row in-rank access latency, ns (nmp)"},
+    {"nmp-link-gbps", kGlobal, kNum, "12",
+     "host<->PIM link bandwidth, GB/s (nmp)"},
+    {"nmp-launch-us", kGlobal, kNum, "2",
+     "per-offloaded-op launch round trip, us (nmp)"},
+    {"nmp-placement", kGlobal, kText, "auto",
+     "which tables offload: auto|all|none (nmp)"},
+    {"nmp-min-table-kb", kGlobal, kInt, "1024",
+     "auto placement: smaller tables stay on host (nmp)"},
+    {"nmp-host-llc-frac", kGlobal, kNum, "0.5",
+     "auto placement: tables within this fraction of the LLC share "
+     "stay on host (nmp)"},
+
+    {"model", kModel, kText, "rmc1", "model: rmc1|rmc2|rmc3|rmc3-dot|ncf"},
+    {"batch", kModel, kInt, "16", "batch size / max serving batch"},
+    {"machine", kMachine, kText, "broadwell",
+     "machine: haswell|broadwell|skylake"},
+    {"iters", kTime | kShard | kEval, kInt, "20", "measured iterations"},
+    {"items", kServe | kTrace, kInt, "20000", "items to simulate"},
+    {"zipf", kTime | kTrace, kNum, "1.1", "trace popularity skew"},
+    {"repeat", kTime | kTrace, kNum, "0.5",
+     "trace re-reference probability"},
+    {"seed", kTrace | kEval, kInt, "42", "random seed"},
+    {"max-tenants", kColocate, kInt, "8", "co-location sweep upper bound"},
+    {"rows", kTrace, kInt, "2000000", "embedding rows"},
+
+    {"trace-out", kSinks, kText, "",
+     "write a Chrome trace-event JSON of the run"},
+    {"metrics-out", kSinks, kText, "",
+     "write the metrics registry as JSON and print the summary table"},
+    {"counters", kSinks, kText, nullptr,
+     "collect hardware-model telemetry (FLOPs, bytes, cache stats, "
+     "roofline gauges)"},
+    {"timeseries-out", kSinks, kText, "",
+     "sample telemetry/SLO burn on a virtual-time cadence and write "
+     "JSONL (implies --counters)"},
+    {"timeseries-interval-ms", kSinks, kNum, "10",
+     "virtual-time sampling cadence for --timeseries-out"},
+    {"request-log-out", kRequestLog, kText, "",
+     "write one causal JSON record per request as JSONL"},
+    {"exemplars-out", kRequestLog, kText, "",
+     "write the slowest-k + per-decile exemplar records as JSONL"},
+    {"request-log-k", kRequestLog, kInt, "4",
+     "slowest-k exemplar reservoir size (--request-log-out)"},
+    {"request-log-window-ms", kRequestLog, kNum, "0",
+     "slowest-k trailing window in virtual ms (0 = whole run)"},
+
+    {"straggler-prob", kFaults, kNum, "0", "straggler probability"},
+    {"straggler-alpha", kFaults, kNum, "1.5", "straggler pareto shape"},
+    {"straggler-min", kFaults, kNum, "2", "minimum straggler slowdown"},
+    {"spike-rate", kFaults, kNum, "0", "load spikes per second"},
+    {"spike-ms", kFaults, kNum, "5", "load spike duration"},
+    {"spike-factor", kFaults, kNum, "2", "slowdown during a spike"},
+    {"fault-seed", kFaults | kEval, kInt, "2020", "failure-model seed"},
+    {"deadline-ms", kFaults, kNum, "0",
+     "per-item deadline budget (0 = off)"},
+
+    {"workers", kServe, kInt, "4", "serving workers"},
+    {"rate", kServe, kNum, "10000", "offered items/s"},
+    {"sla-ms", kServe, kNum, "10", "SLA in milliseconds"},
+    {"admission", kServe, kText, nullptr,
+     "shed items whose wait blows the SLA"},
+    {"admit-wait", kServe, kNum, "0.5", "sheddable wait as SLA fraction"},
+    {"degrade-batch", kServe, kInt, "0",
+     "degraded-mode batch cap (0 = off)"},
+    {"backlog-factor", kServe, kNum, "2",
+     "backlog (in max batches) triggering degraded mode"},
+    {"low-priority", kServe, kNum, "0.2",
+     "fraction of items droppable when degraded"},
+    {"cluster-replicas", kServe, kInt, "1",
+     "replicas backing the serving tier"},
+    {"healthy-replicas", kServe, kInt, "0",
+     "healthy replicas in the tier (0 = all)"},
+    {"brownout", kServe, kText, nullptr,
+     "enable the SLO-driven brownout ladder"},
+    {"brownout-enter", kServe, kNum, "4",
+     "short-window burn rate entering ladder level 1"},
+    {"brownout-growth", kServe, kNum, "2",
+     "entry-threshold growth per ladder level"},
+    {"brownout-exit", kServe, kNum, "0.5",
+     "de-escalate below this fraction of the entry threshold "
+     "(hysteresis)"},
+    {"brownout-dwell-ms", kServe, kNum, "20",
+     "minimum time between ladder transitions"},
+    {"brownout-truncate", kServe, kNum, "0.5",
+     "candidate-set fraction kept at level >= 1"},
+    {"brownout-skip-tables", kServe, kNum, "0.5",
+     "SLS work fraction skipped at level 2"},
+
+    {"nodes", kShard, kInt, "4", "shard nodes"},
+    {"mtbf-ms", kShard, kNum, "0", "shard mean time between failures"},
+    {"mttr-ms", kShard, kNum, "10", "shard mean time to repair"},
+    {"timeout-ms", kShard, kNum, "0", "per-shard timeout (0 = none)"},
+    {"retries", kShard, kInt, "2", "max retries per shard request"},
+    {"hedge", kShard, kText, nullptr,
+     "hedge slow shard requests to a replica"},
+    {"hedge-ms", kShard, kNum, "0", "hedge delay (0 = auto p95)"},
+    {"replicas", kShard, kInt, "1",
+     "replicas per shard (>= 2 enables failover)"},
+    {"router", kShard, kText, "primary-first",
+     "replica router: primary-first|least-loaded|p2c"},
+    {"breaker-errors", kShard, kInt, "3",
+     "consecutive errors tripping a replica's breaker"},
+    {"breaker-open-ms", kShard, kNum, "0.5",
+     "breaker cooldown before half-open"},
+    {"breaker-probe", kShard, kNum, "0.7",
+     "half-open probe admission probability"},
+    {"breaker-close-probes", kShard, kInt, "2",
+     "probe successes that re-close a breaker"},
+    {"warmup-ms", kShard, kNum, "2",
+     "post-recovery warm-up window (cold caches)"},
+    {"warmup-factor", kShard, kNum, "0",
+     "post-recovery slowdown (0 = measured cold/steady)"},
+    {"chaos-events", kShard, kInt, "0",
+     "scripted chaos windows over the run"},
+    {"chaos-ms", kShard, kNum, "5", "mean chaos window duration"},
+    {"corrupt-rate", kShard, kNum, "0",
+     "memory-corruption events per second (0 = off)"},
+    {"corrupt-zipf", kShard, kNum, "1.05",
+     "corruption row-targeting skew (0 = uniform)"},
+    {"corrupt-multi-bit", kShard, kNum, "0.2",
+     "fraction of corruptions flipping multiple bits"},
+    {"corrupt-stuck-row", kShard, kNum, "0.1",
+     "fraction of corruptions sticking a whole row at 1s"},
+    {"corrupt-fc", kShard, kNum, "0",
+     "fraction of corruptions hitting FC weights"},
+    {"scrub-interval-ms", kShard, kNum, "0",
+     "background checksum scrub full-sweep period (0 = off)"},
+    {"integrity-sample", kShard | kEval, kNum, "0",
+     "inline-verified fraction of lookup batches, (0, 1] (0 = off)"},
+    {"integrity-guards", kShard, kText, nullptr,
+     "NaN/inf/range + checksum output guards at the aggregation "
+     "boundary"},
+    {"integrity-canary-ms", kShard, kNum, "0",
+     "canary-query period with golden outputs (0 = off)"},
+    {"repair-rtt-us", kShard, kNum, "200",
+     "parameter-store round trip per row re-fetch"},
+    {"repair-gbps", kShard, kNum, "1",
+     "parameter-store transfer bandwidth"},
+    {"drain-density", kShard, kNum, "0",
+     "corrupted-row density escalating a replica to drain + rehydrate "
+     "(0 = off)"},
+    {"fault-log-out", kShard, kText, "",
+     "write every injected fault event as JSONL"},
+
+    {"rows-cap", kEval, kInt, "4096",
+     "embedding rows cap for the functional model"},
+    {"corrupt-events", kEval, kInt, "0",
+     "seeded bit flips injected into the real tables (needs "
+     "--integrity-sample)"},
+    {"dump-kernel-cache", kEval, kText, nullptr,
+     "print the memoized kernel table after eval"},
+
+    {"metrics", kReport | kExplain, kText, "",
+     "metrics JSON artifact to render"},
+    {"trace", kReport, kText, "", "trace JSON artifact to render"},
+    {"timeseries", kReport, kText, "",
+     "timeseries JSONL artifact to render"},
+    {"request-log", kExplain, kText, "",
+     "request-log JSONL artifact to attribute"},
+    {"top", kExplain, kInt, "4",
+     "slowest exemplar timelines to render"},
+};
+
+/** One subcommand: its option groups and its handler. */
+struct Command
+{
+    const char *name;
+    const char *summary;
+    unsigned groups;
+    int (*run)(const ArgParser &);
+};
+
+const Command kCommands[] = {
+    {"time", "time one model on one machine at one batch size",
+     kGlobal | kModel | kMachine | kSinks | kTime, cmdTime},
+    {"colocate", "sweep co-located instances on a socket",
+     kGlobal | kModel | kMachine | kColocate, cmdColocate},
+    {"serve", "open-loop serving simulation with SLA accounting",
+     kGlobal | kModel | kMachine | kSinks | kRequestLog | kFaults | kServe,
+     cmdServe},
+    {"shard", "sharded inference under faults, retries, hedges and "
+              "replica failover",
+     kGlobal | kModel | kMachine | kSinks | kRequestLog | kFaults | kShard,
+     cmdShard},
+    {"trace", "report the unique-ID fraction of a trace profile",
+     kGlobal | kTrace, cmdTrace},
+    {"eval", "execute the real tensor model and measure throughput",
+     kGlobal | kModel | kSinks | kEval, cmdEval},
+    {"report", "render a run report from saved artifacts",
+     kGlobal | kReport, cmdReport},
+    {"explain", "attribute the latency tail from a request log",
+     kGlobal | kExplain, cmdExplain},
+    {"zoo", "list the model zoo and machine fleet", kGlobal, cmdZoo},
+};
+
+void
+printUsage()
+{
+    std::printf("usage: recperf <command> [options]\n\ncommands:\n");
+    for (const Command &cmd : kCommands)
+        std::printf("  %-10s %s\n", cmd.name, cmd.summary);
+    std::printf("\nrun `recperf <command> --help` for the options a "
+                "command takes\n");
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> raw(argv + 1, argv + argc);
-    std::string command = raw.empty() ? "help" : raw.front();
-    std::vector<std::string> rest(raw.begin() + (raw.empty() ? 0 : 1),
-                                  raw.end());
+    std::vector<std::string> rest(argv + 1, argv + argc);
+    const std::string name = rest.empty() ? "help" : rest.front();
+    if (name == "help" || name == "--help") {
+        printUsage();
+        return 0;
+    }
+    rest.erase(rest.begin());
+    const Command *cmd = nullptr;
+    for (const Command &c : kCommands) {
+        if (name == c.name)
+            cmd = &c;
+    }
+    if (!cmd) {
+        std::fprintf(stderr, "unknown command '%s'; try: recperf help\n",
+                     name.c_str());
+        return 2;
+    }
 
-    ArgParser args("recperf " + command,
-                   "RecPerf experiment driver (HPCA'20 reproduction)");
-    args.addOption("model", "rmc1", "model: rmc1|rmc2|rmc3|rmc3-dot|ncf");
-    args.addOption("machine", "broadwell",
-                   "machine: haswell|broadwell|skylake");
-    args.addOption("batch", "16", "batch size / max serving batch");
-    args.addOption("iters", "20", "measured iterations");
-    args.addOption("max-tenants", "8", "co-location sweep upper bound");
-    args.addOption("workers", "4", "serving workers");
-    args.addOption("rate", "10000", "offered items/s (serve)");
-    args.addOption("items", "20000", "items to simulate");
-    args.addOption("sla-ms", "10", "SLA in milliseconds");
-    args.addOption("zipf", "1.1", "trace popularity skew");
-    args.addOption("repeat", "0.5", "trace re-reference probability");
-    args.addOption("rows", "2000000", "embedding rows (trace)");
-    args.addOption("seed", "42", "random seed");
-    args.addOption("threads", "0",
-                   "tensor-op worker threads (0 = RECPERF_THREADS or "
-                   "hardware)");
-    args.addOption("backend", "cpu",
-                   "compute backend: cpu|nmp (overrides "
-                   "RECPERF_BACKEND; nmp offloads SparseLengthsSum to "
-                   "a near-memory engine)");
-    args.addOption("isa", "auto",
-                   "kernel ISA tier: scalar|avx2|avx512|auto "
-                   "(overrides RECPERF_ISA; pinned tiers are "
-                   "bit-deterministic; part of the backend spec)");
-    args.addOption("nmp-ranks", "8",
-                   "PIM-enabled memory ranks (nmp backend)");
-    args.addOption("nmp-rank-gbps", "9.6",
-                   "in-rank gather bandwidth per rank, GB/s (nmp)");
-    args.addOption("nmp-row-ns", "50",
-                   "per-row in-rank access latency, ns (nmp)");
-    args.addOption("nmp-link-gbps", "12",
-                   "host<->PIM link bandwidth, GB/s (nmp)");
-    args.addOption("nmp-launch-us", "2",
-                   "per-offloaded-op launch round trip, us (nmp)");
-    args.addOption("nmp-placement", "auto",
-                   "which tables offload: auto|all|none (nmp)");
-    args.addOption("nmp-min-table-kb", "1024",
-                   "auto placement: smaller tables stay on host (nmp)");
-    args.addOption("nmp-host-llc-frac", "0.5",
-                   "auto placement: tables within this fraction of "
-                   "the LLC share stay on host (nmp)");
-    args.addFlag("dump-kernel-cache",
-                 "print the memoized kernel table after eval");
-    args.addOption("rows-cap", "4096",
-                   "embedding rows cap for eval's functional model");
-    args.addOption("nodes", "4", "shard nodes (shard)");
-    args.addOption("straggler-prob", "0", "straggler probability");
-    args.addOption("straggler-alpha", "1.5", "straggler pareto shape");
-    args.addOption("straggler-min", "2", "minimum straggler slowdown");
-    args.addOption("mtbf-ms", "0", "shard mean time between failures");
-    args.addOption("mttr-ms", "10", "shard mean time to repair");
-    args.addOption("spike-rate", "0", "load spikes per second");
-    args.addOption("spike-ms", "5", "load spike duration");
-    args.addOption("spike-factor", "2", "slowdown during a spike");
-    args.addOption("fault-seed", "2020", "failure-model seed");
-    args.addOption("timeout-ms", "0", "per-shard timeout (0 = none)");
-    args.addOption("retries", "2", "max retries per shard request");
-    args.addFlag("hedge", "hedge slow shard requests to a replica");
-    args.addOption("hedge-ms", "0", "hedge delay (0 = auto p95)");
-    args.addOption("replicas", "1",
-                   "replicas per shard (>= 2 enables failover)");
-    args.addOption("router", "primary-first",
-                   "replica router: primary-first|least-loaded|p2c");
-    args.addOption("breaker-errors", "3",
-                   "consecutive errors tripping a replica's breaker");
-    args.addOption("breaker-open-ms", "0.5",
-                   "breaker cooldown before half-open");
-    args.addOption("breaker-probe", "0.7",
-                   "half-open probe admission probability");
-    args.addOption("breaker-close-probes", "2",
-                   "probe successes that re-close a breaker");
-    args.addOption("warmup-ms", "2",
-                   "post-recovery warm-up window (cold caches)");
-    args.addOption("warmup-factor", "0",
-                   "post-recovery slowdown (0 = measured cold/steady)");
-    args.addOption("chaos-events", "0",
-                   "scripted chaos windows over the run (shard)");
-    args.addOption("chaos-ms", "5", "mean chaos window duration");
-    args.addOption("corrupt-rate", "0",
-                   "memory-corruption events per second (shard; 0 = "
-                   "off)");
-    args.addOption("corrupt-zipf", "1.05",
-                   "corruption row-targeting skew (0 = uniform)");
-    args.addOption("corrupt-multi-bit", "0.2",
-                   "fraction of corruptions flipping multiple bits");
-    args.addOption("corrupt-stuck-row", "0.1",
-                   "fraction of corruptions sticking a whole row at 1s");
-    args.addOption("corrupt-fc", "0",
-                   "fraction of corruptions hitting FC weights");
-    args.addOption("scrub-interval-ms", "0",
-                   "background checksum scrub full-sweep period (shard; "
-                   "0 = off)");
-    args.addOption("integrity-sample", "0",
-                   "inline-verified fraction of lookup batches, (0, 1] "
-                   "(shard|eval; 0 = off)");
-    args.addFlag("integrity-guards",
-                 "NaN/inf/range + checksum output guards at the "
-                 "aggregation boundary (shard)");
-    args.addOption("integrity-canary-ms", "0",
-                   "canary-query period with golden outputs (shard; "
-                   "0 = off)");
-    args.addOption("repair-rtt-us", "200",
-                   "parameter-store round trip per row re-fetch");
-    args.addOption("repair-gbps", "1",
-                   "parameter-store transfer bandwidth");
-    args.addOption("drain-density", "0",
-                   "corrupted-row density escalating a replica to "
-                   "drain + rehydrate (0 = off)");
-    args.addOption("fault-log-out", "",
-                   "write every injected fault event as JSONL (shard)");
-    args.addOption("corrupt-events", "0",
-                   "seeded bit flips injected into eval's real tables "
-                   "(eval; needs --integrity-sample)");
-    args.addOption("cluster-replicas", "1",
-                   "replicas backing the serving tier (serve)");
-    args.addOption("healthy-replicas", "0",
-                   "healthy replicas in the tier (0 = all)");
-    args.addOption("trace-out", "",
-                   "write a Chrome trace-event JSON of the run "
-                   "(serve|shard|eval)");
-    args.addOption("metrics-out", "",
-                   "write the metrics registry as JSON and print the "
-                   "summary table (serve|shard|eval)");
-    args.addFlag("counters",
-                 "collect hardware-model telemetry (FLOPs, bytes, "
-                 "cache stats, roofline gauges)");
-    args.addOption("timeseries-out", "",
-                   "sample telemetry/SLO burn on a virtual-time "
-                   "cadence and write JSONL (implies --counters)");
-    args.addOption("timeseries-interval-ms", "10",
-                   "virtual-time sampling cadence for "
-                   "--timeseries-out");
-    args.addOption("request-log-out", "",
-                   "write one causal JSON record per request as JSONL "
-                   "(serve|shard)");
-    args.addOption("exemplars-out", "",
-                   "write the slowest-k + per-decile exemplar records "
-                   "as JSONL (serve|shard)");
-    args.addOption("request-log-k", "4",
-                   "slowest-k exemplar reservoir size "
-                   "(--request-log-out)");
-    args.addOption("request-log-window-ms", "0",
-                   "slowest-k trailing window in virtual ms (0 = whole "
-                   "run)");
-    args.addOption("metrics", "",
-                   "metrics JSON artifact to render (report|explain)");
-    args.addOption("trace", "",
-                   "trace JSON artifact to render (report)");
-    args.addOption("timeseries", "",
-                   "timeseries JSONL artifact to render (report)");
-    args.addOption("request-log", "",
-                   "request-log JSONL artifact to attribute (explain)");
-    args.addOption("top", "4",
-                   "slowest exemplar timelines to render (explain)");
-    args.addFlag("admission", "shed items whose wait blows the SLA");
-    args.addOption("admit-wait", "0.5", "sheddable wait as SLA fraction");
-    args.addOption("degrade-batch", "0",
-                   "degraded-mode batch cap (0 = off)");
-    args.addOption("backlog-factor", "2",
-                   "backlog (in max batches) triggering degraded mode");
-    args.addOption("deadline-ms", "0",
-                   "per-item deadline budget (serve|shard; 0 = off)");
-    args.addFlag("brownout",
-                 "enable the SLO-driven brownout ladder (serve)");
-    args.addOption("brownout-enter", "4",
-                   "short-window burn rate entering ladder level 1");
-    args.addOption("brownout-growth", "2",
-                   "entry-threshold growth per ladder level");
-    args.addOption("brownout-exit", "0.5",
-                   "de-escalate below this fraction of the entry "
-                   "threshold (hysteresis)");
-    args.addOption("brownout-dwell-ms", "20",
-                   "minimum time between ladder transitions");
-    args.addOption("brownout-truncate", "0.5",
-                   "candidate-set fraction kept at level >= 1");
-    args.addOption("brownout-skip-tables", "0.5",
-                   "SLS work fraction skipped at level 2");
-    args.addOption("low-priority", "0.2",
-                   "fraction of items droppable when degraded");
-    args.addFlag("help", "show this help");
-
+    ArgParser args("recperf " + name, cmd->summary);
+    for (const Knob &k : kKnobs) {
+        if (!(k.groups & cmd->groups))
+            continue;
+        if (k.def)
+            args.addOption(k.name, k.def, k.help, k.type);
+        else
+            args.addFlag(k.name, k.help);
+    }
     std::string error;
     if (!args.parse(rest, &error)) {
         std::fprintf(stderr, "error: %s\n%s", error.c_str(),
                      args.helpText().c_str());
         return 2;
     }
-    if (command == "help" || args.flag("help")) {
-        std::printf("usage: recperf <time|colocate|serve|shard|trace|"
-                    "eval|report|explain|zoo> [options]\n\n%s",
-                    args.helpText().c_str());
+    if (!args.positional().empty()) {
+        std::fprintf(stderr, "error: unexpected argument '%s'\n%s",
+                     args.positional().front().c_str(),
+                     args.helpText().c_str());
+        return 2;
+    }
+    if (args.flag("help")) {
+        std::printf("%s", args.helpText().c_str());
         return 0;
     }
 
-    if (args.optionInt("threads") > 0)
-        setGlobalThreadCount(static_cast<int>(args.optionInt("threads")));
-
-    // Resolve the backend spec up front — backend family and kernel
-    // ISA tier are one validated unit (flag > env > default for each
-    // component) — and fail fast with exit 2, like every other
-    // argument error, before any kernel runs. Both sources are
-    // validated: a bad env var is an error even when an explicit flag
-    // would override it.
-    {
-        std::string backend_name = args.option("backend");
-        if (const char *env = std::getenv("RECPERF_BACKEND")) {
-            if (!backendKindFromName(env, nullptr)) {
-                std::fprintf(stderr,
-                             "error: RECPERF_BACKEND: unknown backend "
-                             "'%s' (expected cpu|nmp)\n", env);
-                return 2;
-            }
-            if (!args.explicitlySet("backend"))
-                backend_name = env;
-        }
-        std::string isa_name = args.option("isa");
-        if (const char *env = std::getenv("RECPERF_ISA")) {
-            IsaPolicy probe;
-            std::string env_err = isaPolicyFromName(env, &probe);
-            if (!env_err.empty()) {
-                std::fprintf(stderr, "error: RECPERF_ISA: %s\n",
-                             env_err.c_str());
-                return 2;
-            }
-            if (!args.explicitlySet("isa"))
-                isa_name = env;
-        }
-        BackendConfig backend;
-        std::string err =
-            backendConfigFromSpec(backend_name, isa_name, &backend);
-        if (!err.empty()) {
-            std::fprintf(stderr, "error: --backend/--isa: %s\n",
-                         err.c_str());
-            return 2;
-        }
-
-        // NMP knobs only make sense against the nmp backend; a knob on
-        // a cpu run is a spec error, not something to silently ignore.
-        static const char *kNmpKnobs[] = {
-            "nmp-ranks", "nmp-rank-gbps", "nmp-row-ns", "nmp-link-gbps",
-            "nmp-launch-us", "nmp-placement", "nmp-min-table-kb",
-            "nmp-host-llc-frac"};
-        if (backend.kind != BackendKind::Nmp) {
-            for (const char *knob : kNmpKnobs) {
-                if (args.explicitlySet(knob)) {
-                    std::fprintf(stderr,
-                                 "error: --%s requires --backend=nmp\n",
-                                 knob);
-                    return 2;
-                }
-            }
-        } else {
-            backend.nmp.ranks =
-                static_cast<uint32_t>(args.optionInt("nmp-ranks"));
-            backend.nmp.rankGBps = args.optionDouble("nmp-rank-gbps");
-            backend.nmp.rowAccessNs = args.optionDouble("nmp-row-ns");
-            backend.nmp.linkGBps = args.optionDouble("nmp-link-gbps");
-            backend.nmp.launchUs = args.optionDouble("nmp-launch-us");
-            backend.nmp.minTableBytes =
-                static_cast<uint64_t>(
-                    args.optionInt("nmp-min-table-kb")) * 1024;
-            backend.nmp.hostLlcFraction =
-                args.optionDouble("nmp-host-llc-frac");
-            if (!nmpPlacementFromName(args.option("nmp-placement"),
-                                      &backend.nmp.placement)) {
-                std::fprintf(stderr,
-                             "error: --nmp-placement: unknown policy "
-                             "'%s' (expected auto|all|none)\n",
-                             args.option("nmp-placement").c_str());
-                return 2;
-            }
-            err = backend.nmp.validate();
-            if (!err.empty()) {
-                std::fprintf(stderr, "error: --backend=nmp: %s\n",
-                             err.c_str());
-                return 2;
-            }
-        }
-        setActiveBackend(backend);
-    }
-
     try {
-        if (command == "serve" || command == "shard") {
-            std::string invalid = validateServingArgs(args, command);
-            if (!invalid.empty()) {
-                std::fprintf(stderr, "error: %s\n", invalid.c_str());
-                return 2;
-            }
-        } else {
-            // The request log records the serving lanes only; on any
-            // other command the knobs would silently do nothing.
-            static const char *const kRlogKnobs[] = {
-                "request-log-out", "exemplars-out", "request-log-k",
-                "request-log-window-ms"};
-            for (const char *knob : kRlogKnobs) {
-                if (args.explicitlySet(knob)) {
-                    std::fprintf(stderr,
-                                 "error: --%s applies to serve and "
-                                 "shard only (the request log records "
-                                 "the serving lanes)\n", knob);
-                    return 2;
-                }
-            }
-        }
-        if (command == "time")
-            return cmdTime(args);
-        if (command == "colocate")
-            return cmdColocate(args);
-        if (command == "serve")
-            return cmdServe(args);
-        if (command == "shard")
-            return cmdShard(args);
-        if (command == "trace")
-            return cmdTrace(args);
-        if (command == "eval")
-            return cmdEval(args);
-        if (command == "report")
-            return cmdReport(args);
-        if (command == "explain")
-            return cmdExplain(args);
-        if (command == "zoo")
-            return cmdZoo();
+        applyGlobalOptions(args);
+        return cmd->run(args);
+    } catch (const UsageError &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     } catch (const FatalError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }
-
-    std::fprintf(stderr, "unknown command '%s'; try: recperf help\n",
-                 command.c_str());
-    return 2;
 }
