@@ -1,7 +1,5 @@
 #include "backend/compute_backend.hh"
 
-#include <mutex>
-
 #include "backend/cpu_backend.hh"
 #include "backend/nmp_backend.hh"
 #include "core/logging.hh"
@@ -117,58 +115,29 @@ makeBackend(const BackendConfig &config)
     return std::make_unique<CpuBackend>(config);
 }
 
-const KernelCache::GemmEntry &
-ComputeBackend::gemmKernel(int64_t m, int64_t n, int64_t k) const
-{
-    return KernelCache::global().gemm(m, n, k);
-}
-
-const KernelCache::SlsEntry &
-ComputeBackend::slsKernel(int64_t dim, int64_t pooling,
-                          bool quantized) const
-{
-    return KernelCache::global().sls(dim, pooling, quantized);
-}
-
 namespace {
 
-struct ActiveBackendState
+BackendConfig &
+activeConfig()
 {
-    BackendConfig config;
-    std::unique_ptr<ComputeBackend> backend;
-
-    ActiveBackendState() : backend(makeBackend(config)) {}
-};
-
-ActiveBackendState &
-activeState()
-{
-    static ActiveBackendState *state = new ActiveBackendState();
-    return *state;
+    static BackendConfig *config = new BackendConfig();
+    return *config;
 }
 
 } // namespace
 
-ComputeBackend &
-activeBackend()
-{
-    return *activeState().backend;
-}
-
 const BackendConfig &
 activeBackendConfig()
 {
-    return activeState().config;
+    return activeConfig();
 }
 
 void
 setActiveBackend(const BackendConfig &config)
 {
-    ActiveBackendState &state = activeState();
-    state.config = config;
-    state.backend = makeBackend(config);
-    // Keep the execution plane's ISA choice in lockstep: kernels fetch
-    // through the backend, but the cache owns tuning and dispatch.
+    std::string err = config.nmp.validate();
+    RP_ASSERT(err.empty(), "%s", err.c_str());
+    activeConfig() = config;
     KernelCache::global().setPolicy(config.isa);
 }
 

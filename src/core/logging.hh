@@ -4,8 +4,8 @@
  *
  * Follows the gem5 convention: fatal() is for user error (bad
  * configuration, invalid arguments) and exits cleanly; panic() is for
- * internal invariant violations (library bugs) and aborts. warn() and
- * inform() are non-terminating status channels.
+ * internal invariant violations (library bugs) and aborts. warn() is
+ * the non-terminating status channel.
  */
 
 #ifndef RECPERF_CORE_LOGGING_HH
@@ -27,7 +27,6 @@ namespace detail {
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const char *file, int line, const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -45,10 +44,6 @@ void informImpl(const std::string &msg);
 /** Non-terminating warning about questionable but survivable conditions. */
 #define RP_WARN(...) \
     ::recperf::detail::warnImpl(__FILE__, __LINE__, ::recperf::strprintf(__VA_ARGS__))
-
-/** Informational status message. */
-#define RP_INFORM(...) \
-    ::recperf::detail::informImpl(::recperf::strprintf(__VA_ARGS__))
 
 /** Internal invariant check; active in all build types. */
 #define RP_ASSERT(cond, ...)                                                  \

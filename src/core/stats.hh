@@ -3,7 +3,7 @@
  * Statistics helpers: percentiles over retained samples.
  *
  * Used throughout the timing and serving layers to report latency
- * distributions (mean, p5, p50, p99) in the same form the paper does.
+ * distributions (p5, p50, p99) in the same form the paper does.
  */
 
 #ifndef RECPERF_CORE_STATS_HH
@@ -35,17 +35,12 @@ class LatencySample
     size_t count() const { return samples_.size(); }
     bool empty() const { return samples_.empty(); }
 
-    double mean() const;
-
     /** Percentile query; 0.0 on an empty sample (e.g. a run whose
      *  items were all shed), unlike the strict percentile(). */
     double p(double pct) const
     {
         return samples_.empty() ? 0.0 : percentile(samples_, pct);
     }
-
-    double min() const;
-    double max() const;
 
     const std::vector<double> &samples() const { return samples_; }
 

@@ -244,12 +244,6 @@ globalThreadCount()
     return globalThreadPool()->threadCount();
 }
 
-bool
-inParallelRegion()
-{
-    return t_in_parallel_region;
-}
-
 void
 setPoolChunkHook(PoolChunkHook hook)
 {

@@ -104,9 +104,6 @@ void setGlobalThreadCount(int threads);
 /** Thread count of the current global pool (creates it if needed). */
 int globalThreadCount();
 
-/** True while the calling thread is inside a parallelFor region. */
-bool inParallelRegion();
-
 /**
  * Observability hook for executed pool chunks. The obs layer installs
  * this (core cannot link against it — the dependency points the other

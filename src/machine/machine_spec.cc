@@ -55,7 +55,7 @@ MachineSpec::makeHierarchy(uint32_t tenants) const
 {
     RP_ASSERT(tenants > 0, "need at least one tenant");
     return std::make_unique<CacheHierarchy>(tenants, l1, l2, l3, policy,
-                                            dramLatencyCycles(), prefetch);
+                                            prefetch);
 }
 
 double

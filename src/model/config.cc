@@ -66,16 +66,6 @@ EmbeddingConfig::rowBytes() const
     RP_PANIC("unreachable precision");
 }
 
-const char *
-interactionKindName(InteractionKind kind)
-{
-    switch (kind) {
-      case InteractionKind::Concat: return "concat";
-      case InteractionKind::Dot: return "dot";
-    }
-    return "unknown";
-}
-
 void
 ModelConfig::validate() const
 {
@@ -158,12 +148,6 @@ ModelConfig::fcParamCount() const
         in = out;
     }
     return params;
-}
-
-int64_t
-ModelConfig::embParamCount() const
-{
-    return emb.totalRows() * emb.embDim;
 }
 
 int64_t

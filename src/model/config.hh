@@ -51,9 +51,6 @@ enum class InteractionKind
     Dot,
 };
 
-/** Display name, e.g. "dot". */
-const char *interactionKindName(InteractionKind kind);
-
 /**
  * Storage precision of the embedding tables. Lower precisions shrink
  * both capacity and the cache lines touched per gather — the
@@ -154,9 +151,6 @@ struct ModelConfig
 
     /** FC parameters (weights + biases) across both MLP stacks. */
     int64_t fcParamCount() const;
-
-    /** Embedding parameters across all tables. */
-    int64_t embParamCount() const;
 
     /** Embedding storage at fp32. */
     int64_t embStorageBytes() const;

@@ -1,6 +1,5 @@
 #include "model/rec_model.hh"
 
-#include "core/cancellation.hh"
 #include "core/logging.hh"
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
@@ -30,14 +29,10 @@ RecModel::RecModel(const ModelConfig &config, Rng &rng) : config_(config)
 }
 
 Tensor
-RecModel::forward(const ModelInput &input,
-                  const CancelToken *cancel) const
+RecModel::forward(const ModelInput &input) const
 {
     int64_t batch = 0;
     Tensor bottom_out;
-
-    if (cancel && cancel->cancelled())
-        return Tensor{};
 
     if (!bottom_.empty()) {
         RP_ASSERT(input.dense.rank() == 2 &&
@@ -78,13 +73,8 @@ RecModel::forward(const ModelInput &input,
     }
     std::vector<Tensor> pooled(static_cast<size_t>(num_tables));
     if (num_tables >= globalThreadCount()) {
-        // Each worker polls the token per table; tables already pooled
-        // keep their results, tables not yet started are skipped, and
-        // the whole forward reports cancelled below.
         parallelFor(0, num_tables, 1, [&](int64_t lo, int64_t hi) {
             for (int64_t t = lo; t < hi; ++t) {
-                if (cancel && cancel->cancelled())
-                    return;
                 const SparseInput &sp =
                     input.sparse[static_cast<size_t>(t)];
                 pooled[static_cast<size_t>(t)] =
@@ -92,14 +82,10 @@ RecModel::forward(const ModelInput &input,
                                                             sp.lengths);
             }
         });
-        if (cancel && cancel->cancelled())
-            return Tensor{};
     } else {
         // Fewer tables than threads: run tables sequentially and let
         // each lookup parallelize across its output slots instead.
         for (int64_t t = 0; t < num_tables; ++t) {
-            if (cancel && cancel->cancelled())
-                return Tensor{};
             const SparseInput &sp =
                 input.sparse[static_cast<size_t>(t)];
             pooled[static_cast<size_t>(t)] =
@@ -107,9 +93,6 @@ RecModel::forward(const ModelInput &input,
                                                         sp.lengths);
         }
     }
-
-    if (cancel && cancel->cancelled())
-        return Tensor{};
 
     std::vector<const Tensor *> features;
     if (!bottom_.empty())
@@ -165,12 +148,6 @@ RecModel::randomInput(int64_t batch, Rng &rng) const
         input.sparse.push_back(std::move(sp));
     }
     return input;
-}
-
-int64_t
-RecModel::paramCount() const
-{
-    return config_.fcParamCount() + config_.embParamCount();
 }
 
 } // namespace recperf

@@ -88,23 +88,6 @@ rmc3Large()
 }
 
 ModelConfig
-rmc2Mixed()
-{
-    ModelConfig m = rmc2Small();
-    m.name = "RMC2-mixed";
-    // 32 tables spanning ~6 MB (50k rows) to ~820 MB (6.4M rows) at
-    // fp32/dim-32; aggregate ~6.5 GB, comparable to RMC2-small.
-    m.emb.tableRows.clear();
-    for (int64_t t = 0; t < m.emb.numTables; ++t) {
-        // Geometric spread over two orders of magnitude.
-        int64_t rows = 50'000ll << (t % 8);
-        m.emb.tableRows.push_back(rows);
-    }
-    m.validate();
-    return m;
-}
-
-ModelConfig
 rmc3Dot()
 {
     ModelConfig m = rmc3Small();

@@ -44,13 +44,6 @@ ModelConfig rmc3Small();
 ModelConfig rmc3Large();
 
 /**
- * RMC2 variant with heterogeneous table sizes, spanning tens of MB to
- * GBs per table as in production (§II-C: "the size of a single
- * embedding table varies from tens of MBs to several GBs").
- */
-ModelConfig rmc2Mixed();
-
-/**
  * RMC3 variant using DLRM's pairwise dot-product interaction, whose
  * runtime is split between FC and BatchMatMul — the operator mix the
  * paper reports for the heavyweight ranking models ("over 96% of the

@@ -116,13 +116,6 @@ HwTelemetry::totals() const
     return totals_;
 }
 
-RooflineSpec
-HwTelemetry::roofline() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return roofline_;
-}
-
 void
 HwTelemetry::emitCounters(Tracer &tracer, double t_seconds,
                           uint32_t tid) const

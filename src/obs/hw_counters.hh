@@ -160,9 +160,6 @@ class HwTelemetry
     /** Current totals (thread-safe copy). */
     HwTotals totals() const;
 
-    /** Last recorded machine envelope. */
-    RooflineSpec roofline() const;
-
     /**
      * Emit the cumulative counters as Chrome-trace counter events
      * ("ph":"C") at virtual time @p t_seconds on lane @p tid. Track

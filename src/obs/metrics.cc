@@ -181,21 +181,14 @@ MetricsRegistry::addCounter(uint32_t id, uint64_t n)
 }
 
 void
-MetricsRegistry::setGauge(uint32_t id, double v, bool accumulate)
+MetricsRegistry::setGauge(uint32_t id, double v)
 {
     std::atomic<double> *cell = nullptr;
     {
         std::lock_guard<std::mutex> lock(mu_);
         cell = gauges_.at(id).get();
     }
-    if (accumulate) {
-        double cur = cell->load(std::memory_order_relaxed);
-        while (!cell->compare_exchange_weak(cur, cur + v,
-                                            std::memory_order_relaxed)) {
-        }
-    } else {
-        cell->store(v, std::memory_order_relaxed);
-    }
+    cell->store(v, std::memory_order_relaxed);
 }
 
 void
@@ -302,14 +295,7 @@ void
 Gauge::set(double v)
 {
     if (reg_)
-        reg_->setGauge(id_, v, /*accumulate=*/false);
-}
-
-void
-Gauge::add(double v)
-{
-    if (reg_)
-        reg_->setGauge(id_, v, /*accumulate=*/true);
+        reg_->setGauge(id_, v);
 }
 
 void

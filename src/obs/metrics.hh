@@ -109,7 +109,6 @@ class Gauge
   public:
     Gauge() = default;
     void set(double v);
-    void add(double v);
 
   private:
     friend class MetricsRegistry;
@@ -211,7 +210,7 @@ class MetricsRegistry
 
     Shard *shard();
     void addCounter(uint32_t id, uint64_t n);
-    void setGauge(uint32_t id, double v, bool accumulate);
+    void setGauge(uint32_t id, double v);
     void recordHistogram(uint32_t id, double seconds);
     uint32_t intern(std::vector<std::string> &names, size_t cap,
                     const char *kind, const std::string &name);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/logging.hh"
 #include "core/stats.hh"
@@ -239,20 +240,6 @@ RequestLogger::size() const
     return records_.size();
 }
 
-uint64_t
-RequestLogger::recorded() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return recorded_;
-}
-
-uint64_t
-RequestLogger::dropped() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return dropped_;
-}
-
 std::vector<RequestRecord>
 RequestLogger::slowestExemplars() const
 {
@@ -462,6 +449,29 @@ finiteField(const JsonValue &obj, const char *key, bool required,
     return true;
 }
 
+/**
+ * Optional integer field in [@p fallback, @p hi], @p fallback when
+ * absent: each such field's default is also its least value. A
+ * fractional or out-of-range number is an error, never a cast.
+ */
+template <typename T>
+bool
+intField(const JsonValue &obj, const char *key, T fallback, T hi, T *out,
+         std::string *msg)
+{
+    double d;
+    if (!finiteField(obj, key, false, fallback, &d, msg))
+        return false;
+    if (d != std::floor(d) || d < fallback || d > hi) {
+        *msg = strprintf("field '%s' is not an integer in [%lld, %lld]",
+                         key, static_cast<long long>(fallback),
+                         static_cast<long long>(hi));
+        return false;
+    }
+    *out = static_cast<T>(d);
+    return true;
+}
+
 } // namespace
 
 bool
@@ -560,10 +570,10 @@ parseRequestLog(const std::string &jsonl,
             rec.phase[idx] = field.second.number;
         }
 
-        if (!finiteField(value, "brownout_level", false, 0.0, &d,
-                         &msg))
+        if (!intField<uint8_t>(value, "brownout_level", 0,
+                               kRecordBrownoutLevels - 1,
+                               &rec.brownoutLevel, &msg))
             return lineError(error, lineno, msg);
-        rec.brownoutLevel = static_cast<uint8_t>(d);
         struct
         {
             const char *key;
@@ -579,29 +589,24 @@ parseRequestLog(const std::string &jsonl,
             if (v != nullptr && v->kind == JsonValue::Kind::Bool)
                 *f.dst = v->boolean;
         }
-        if (!finiteField(value, "retries", false, 0.0, &d, &msg))
+        constexpr uint16_t kU16 = std::numeric_limits<uint16_t>::max();
+        constexpr int32_t kI32 = std::numeric_limits<int32_t>::max();
+        constexpr uint32_t kU32 = std::numeric_limits<uint32_t>::max();
+        if (!intField<uint16_t>(value, "retries", 0, kU16, &rec.retries,
+                                &msg) ||
+            !intField<uint16_t>(value, "hedges", 0, kU16, &rec.hedges,
+                                &msg) ||
+            !intField<uint16_t>(value, "hedge_wins", 0, kU16,
+                                &rec.hedgeWins, &msg) ||
+            !intField<int32_t>(value, "replica", -1, kI32, &rec.replica,
+                               &msg) ||
+            !intField<int32_t>(value, "critical_shard", -1, kI32,
+                               &rec.criticalShard, &msg) ||
+            !intField<uint32_t>(value, "batch_items", 0, kU32,
+                                &rec.batchItems, &msg) ||
+            !intField<uint32_t>(value, "breaker_rejects", 0, kU32,
+                                &rec.breakerRejects, &msg))
             return lineError(error, lineno, msg);
-        rec.retries = static_cast<uint16_t>(d);
-        if (!finiteField(value, "hedges", false, 0.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.hedges = static_cast<uint16_t>(d);
-        if (!finiteField(value, "hedge_wins", false, 0.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.hedgeWins = static_cast<uint16_t>(d);
-        if (!finiteField(value, "replica", false, -1.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.replica = static_cast<int32_t>(d);
-        if (!finiteField(value, "critical_shard", false, -1.0, &d,
-                         &msg))
-            return lineError(error, lineno, msg);
-        rec.criticalShard = static_cast<int32_t>(d);
-        if (!finiteField(value, "batch_items", false, 0.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.batchItems = static_cast<uint32_t>(d);
-        if (!finiteField(value, "breaker_rejects", false, 0.0, &d,
-                         &msg))
-            return lineError(error, lineno, msg);
-        rec.breakerRejects = static_cast<uint32_t>(d);
         if (!finiteField(value, "admission_estimate_s", false, 0.0, &d,
                          &msg))
             return lineError(error, lineno, msg);

@@ -79,6 +79,10 @@ enum class RequestOutcome : uint8_t
 
 constexpr size_t kNumRequestOutcomes = 7;
 
+/** Brownout ladder levels a record can carry (the scheduler's
+ *  kBrownoutLevels; the serving layer asserts they agree). */
+constexpr int kRecordBrownoutLevels = 4;
+
 /** Stable JSON name of an outcome ("served", "cancelled", ...). */
 const char *requestOutcomeName(RequestOutcome outcome);
 
@@ -208,12 +212,6 @@ class RequestLogger
     std::vector<RequestRecord> records() const;
 
     size_t size() const;
-
-    /** Records offered since reset (including dropped ones). */
-    uint64_t recorded() const;
-
-    /** Records lost to the capacity cap. */
-    uint64_t dropped() const;
 
     const RequestLogOptions &options() const { return options_; }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/logging.hh"
 #include "obs/hw_counters.hh"
 #include "obs/report.hh"
 
@@ -25,9 +26,10 @@ void
 TimeSeriesSampler::configure(const TimeSeriesOptions &options)
 {
     std::lock_guard<std::mutex> lock(mu_);
+    RP_ASSERT(options.intervalSeconds > 0.0,
+              "time-series interval must be positive (got %g s)",
+              options.intervalSeconds);
     options_ = options;
-    if (options_.intervalSeconds <= 0.0)
-        options_.intervalSeconds = 0.01;
     if (options_.capacity == 0)
         options_.capacity = 1;
     ring_.clear();
@@ -53,7 +55,7 @@ TimeSeriesSampler::reset()
 double
 TimeSeriesSampler::burnLocked(double now, double window) const
 {
-    if (window <= 0.0 || options_.errorBudget <= 0.0)
+    if (window <= 0.0)
         return 0.0;
     uint64_t items = 0, violations = 0;
     for (auto it = window_.rbegin(); it != window_.rend(); ++it) {
@@ -67,7 +69,7 @@ TimeSeriesSampler::burnLocked(double now, double window) const
         return 0.0;
     double frac = static_cast<double>(violations)
                   / static_cast<double>(items);
-    return frac / options_.errorBudget;
+    return frac / kSloErrorBudget;
 }
 
 void
@@ -167,20 +169,6 @@ TimeSeriesSampler::size() const
     return ring_.size();
 }
 
-uint64_t
-TimeSeriesSampler::samplesTaken() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return taken_;
-}
-
-uint64_t
-TimeSeriesSampler::samplesDropped() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return dropped_;
-}
-
 std::vector<TimeSeriesSample>
 TimeSeriesSampler::samples() const
 {
@@ -222,10 +210,10 @@ TimeSeriesSampler::exportTo(MetricsRegistry &registry) const
     registry.gauge("slo.burn_rate_short").set(last_burn_short_);
     registry.gauge("slo.burn_rate_long").set(last_burn_long_);
     double consumed = 0.0;
-    if (items_total_ > 0 && options_.errorBudget > 0.0)
+    if (items_total_ > 0)
         consumed = (static_cast<double>(violations_total_)
                     / static_cast<double>(items_total_))
-                   / options_.errorBudget;
+                   / kSloErrorBudget;
     registry.gauge("slo.error_budget_consumed").set(consumed);
     registry.counter("timeseries.samples_taken").add(taken_);
     registry.counter("timeseries.samples_dropped").add(dropped_);

@@ -15,7 +15,7 @@
  *
  * The sampler also maintains SLO burn-rate gauges in the style of
  * multi-window error-budget alerting: the burn rate over a window is
- * (fraction of SLA-violating items in the window) / errorBudget, so a
+ * (fraction of SLA-violating items in the window) / kSloErrorBudget, so a
  * burn rate of 1.0 means violations are arriving exactly at the rate
  * the SLO (e.g. p99 => 1% budget) allows, and >> 1 means the budget is
  * burning fast.
@@ -40,6 +40,9 @@ namespace obs {
 
 class HwTelemetry;
 
+/** SLO error budget of every burn rate; 0.01 is a p99 latency SLO. */
+inline constexpr double kSloErrorBudget = 0.01;
+
 /** Sampling cadence and window configuration. */
 struct TimeSeriesOptions
 {
@@ -54,9 +57,6 @@ struct TimeSeriesOptions
 
     /** Slow burn-rate window (virtual seconds). */
     double longWindowSeconds = 10.0;
-
-    /** SLO error budget; 0.01 corresponds to a p99 latency SLO. */
-    double errorBudget = 0.01;
 
     /** Telemetry source for hw.* fields; null means the global. */
     HwTelemetry *telemetry = nullptr;
@@ -97,7 +97,8 @@ class TimeSeriesSampler
         return enabled_.load(std::memory_order_relaxed);
     }
 
-    /** Install options and clear all captured state. */
+    /** Install options (a positive interval) and clear all captured
+     *  state. */
     void configure(const TimeSeriesOptions &options);
 
     /** Clear captured state; options survive. */
@@ -130,12 +131,6 @@ class TimeSeriesSampler
 
     /** Number of captured samples currently buffered. */
     size_t size() const;
-
-    /** Samples captured since reset (including since-dropped ones). */
-    uint64_t samplesTaken() const;
-
-    /** Samples lost to ring overflow or tick fast-forward. */
-    uint64_t samplesDropped() const;
 
     /** Copy of the buffered samples, oldest first. */
     std::vector<TimeSeriesSample> samples() const;

@@ -13,6 +13,8 @@ namespace obs {
 
 namespace {
 
+std::atomic<uint64_t> g_next_tracer_serial{1};
+
 /** Pool chunk hook: one wall span per executed parallelFor chunk. */
 void
 poolChunkToTrace(int64_t lo, int64_t hi,
@@ -109,22 +111,27 @@ Tracer::wallSeconds() const
         .count();
 }
 
+Tracer::Tracer()
+    : serial_(g_next_tracer_serial.fetch_add(1, std::memory_order_relaxed))
+{
+}
+
 Tracer::Buffer *
 Tracer::buffer()
 {
     struct Slot
     {
-        Tracer *tracer = nullptr;
+        uint64_t tracer = 0;
         std::shared_ptr<Buffer> buf;
     };
     thread_local Slot slot;
-    if (slot.tracer != this || !slot.buf) {
+    if (slot.tracer != serial_ || !slot.buf) {
         auto fresh = std::make_shared<Buffer>();
         {
             std::lock_guard<std::mutex> lock(mu_);
             buffers_.push_back(fresh);
         }
-        slot.tracer = this;
+        slot.tracer = serial_;
         slot.buf = std::move(fresh);
     }
     return slot.buf.get();
@@ -135,13 +142,13 @@ Tracer::wallTid()
 {
     struct Slot
     {
-        Tracer *tracer = nullptr;
+        uint64_t tracer = 0;
         uint32_t tid = 0;
     };
     thread_local Slot slot;
-    if (slot.tracer != this) {
+    if (slot.tracer != serial_) {
         std::lock_guard<std::mutex> lock(mu_);
-        slot.tracer = this;
+        slot.tracer = serial_;
         slot.tid = next_wall_tid_++;
     }
     return slot.tid;

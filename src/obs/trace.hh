@@ -61,7 +61,7 @@ struct TraceEvent
 class Tracer
 {
   public:
-    Tracer() = default;
+    Tracer();
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
@@ -178,6 +178,9 @@ class Tracer
     void emit(TraceEvent ev);
     void wallSpan(const char *cat, const char *name, double t0);
 
+    /** Process-unique id keying each thread's cached buffer slot, so
+     *  a tracer built where a destroyed one lived gets fresh slots. */
+    const uint64_t serial_;
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point wall_epoch_{};
     mutable std::mutex mu_;

@@ -7,15 +7,6 @@
 
 namespace recperf {
 
-Tensor
-relu(const Tensor &x)
-{
-    Tensor y(x.shape());
-    for (int64_t i = 0; i < x.size(); ++i)
-        y.data()[i] = x.data()[i] > 0.0f ? x.data()[i] : 0.0f;
-    return y;
-}
-
 void
 reluInplace(Tensor &x)
 {

@@ -13,9 +13,6 @@
 
 namespace recperf {
 
-/** ReLU applied out-of-place. */
-Tensor relu(const Tensor &x);
-
 /** ReLU applied in place. */
 void reluInplace(Tensor &x);
 

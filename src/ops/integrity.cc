@@ -5,10 +5,7 @@
 #include <cstring>
 
 #include "core/logging.hh"
-#include "core/rng.hh"
 #include "obs/metrics.hh"
-#include "ops/fully_connected.hh"
-#include "ops/quantized_embedding.hh"
 #include "ops/sparse_lengths_sum.hh"
 
 namespace recperf {
@@ -61,34 +58,6 @@ IntegrityShield::forTable(EmbeddingTable &table, std::string name)
     return IntegrityShield(
         std::move(name), table.rows(),
         {{reinterpret_cast<uint8_t *>(table.table().data()), row, row}});
-}
-
-IntegrityShield
-IntegrityShield::forQuantized(QuantizedEmbeddingTable &table,
-                              std::string name)
-{
-    // Three regions per row: the int8 payload plus the fp32 scale and
-    // bias — a flip in any of them corrupts the dequantized row, so
-    // all three feed the checksum (satellite: scale/bias included).
-    return IntegrityShield(
-        std::move(name), table.rows(),
-        {{table.codeData(), static_cast<size_t>(table.dim()),
-          static_cast<size_t>(table.dim())},
-         {reinterpret_cast<uint8_t *>(table.scaleData()), sizeof(float),
-          sizeof(float)},
-         {reinterpret_cast<uint8_t *>(table.biasData()), sizeof(float),
-          sizeof(float)}});
-}
-
-IntegrityShield
-IntegrityShield::forLayer(FullyConnected &layer, std::string name)
-{
-    size_t wrow = static_cast<size_t>(layer.inFeatures()) * sizeof(float);
-    return IntegrityShield(
-        std::move(name), layer.outFeatures(),
-        {{reinterpret_cast<uint8_t *>(layer.weight().data()), wrow, wrow},
-         {reinterpret_cast<uint8_t *>(layer.bias().data()), sizeof(float),
-          sizeof(float)}});
 }
 
 uint8_t *
@@ -168,35 +137,6 @@ IntegrityShield::flipBit(int64_t row, uint64_t bit_offset)
         static_cast<uint8_t>(1u << (bit_offset % 8));
 }
 
-int
-IntegrityShield::corrupt(CorruptionKind kind, int64_t row,
-                         uint64_t bit_offset, Rng &rng)
-{
-    switch (kind) {
-    case CorruptionKind::SingleBitFlip:
-        flipBit(row, bit_offset);
-        return 1;
-    case CorruptionKind::MultiBitFlip: {
-        // A burst: the addressed bit plus two more in the same row
-        // (multi-bit DRAM faults cluster within a word line).
-        flipBit(row, bit_offset);
-        for (int i = 0; i < 2; ++i)
-            flipBit(row, rng.nextBelow(row_bytes_ * 8));
-        return 3;
-    }
-    case CorruptionKind::StuckRow: {
-        int flipped = 0;
-        for (size_t b = 0; b < row_bytes_; ++b) {
-            uint8_t *p = rowByte(row, b);
-            flipped += 8 - __builtin_popcount(*p);
-            *p = 0xFF; // stuck-at-one: fp32 lanes read back as NaN
-        }
-        return flipped;
-    }
-    }
-    return 0;
-}
-
 bool
 IntegrityShield::repairRow(int64_t row)
 {
@@ -216,22 +156,6 @@ IntegrityShield::repairRow(int64_t row)
         offset += r.rowBytes;
     }
     return changed;
-}
-
-void
-checkEnvelope(const float *x, size_t n, float max_abs,
-              EnvelopeStats &stats)
-{
-    for (size_t i = 0; i < n; ++i) {
-        float v = x[i];
-        ++stats.checked;
-        if (std::isnan(v))
-            ++stats.nans;
-        else if (std::isinf(v))
-            ++stats.infs;
-        else if (max_abs > 0.0f && std::fabs(v) > max_abs)
-            ++stats.range;
-    }
 }
 
 IntegrityRuntime &

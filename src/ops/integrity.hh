@@ -8,15 +8,12 @@
  * timeout. This file supplies the functional half of the defense:
  *
  *  - IntegrityShield: per-row FNV-1a checksums plus a golden byte
- *    snapshot over any row-organized parameter block (fp32 embedding
- *    tables, quantized code/scale/bias triples, FC weight+bias rows),
- *    with primitive corruption operators (bit flips, stuck rows) and
- *    golden-copy repair;
+ *    snapshot over a row-organized parameter block (an fp32 embedding
+ *    table), with bit flips and golden-copy repair;
  *  - IntegrityRuntime: a process-wide registry that, when enabled,
  *    samples SLS lookup batches and verifies the touched rows inline.
  *    Disabled (the default) it costs exactly one relaxed atomic load
- *    per lookup batch and leaves eval output bitwise identical;
- *  - output-guard helpers: NaN/inf/range envelopes over activations.
+ *    per lookup batch and leaves eval output bitwise identical.
  *
  * The virtual-time serving model (src/resilience/sdc.hh) reuses the
  * CorruptionKind taxonomy defined here.
@@ -36,9 +33,6 @@
 namespace recperf {
 
 class EmbeddingTable;
-class QuantizedEmbeddingTable;
-class FullyConnected;
-class Rng;
 
 namespace obs {
 class MetricsRegistry;
@@ -63,8 +57,7 @@ const char *corruptionKindName(CorruptionKind kind);
  * Checksums + golden copy over a row-organized parameter block.
  *
  * A shield views its target as @c rows logical rows, each the
- * concatenation of one slice per Region (so a quantized row covers its
- * int8 codes, fp32 scale and fp32 bias even though they live in three
+ * concatenation of one slice per Region (so one row may span several
  * separate arrays). seal() records per-row checksums and a golden byte
  * snapshot; verifyRow()/scanCorrupted() detect divergence; repairRow()
  * restores the golden bytes. Checksum granularity is per row: coarser
@@ -89,14 +82,6 @@ class IntegrityShield
     static IntegrityShield forTable(EmbeddingTable &table,
                                     std::string name = "table");
 
-    /** Shield a quantized table: codes + scale + bias per row. */
-    static IntegrityShield forQuantized(QuantizedEmbeddingTable &table,
-                                        std::string name = "qtable");
-
-    /** Shield an FC layer: weight row + bias element per output. */
-    static IntegrityShield forLayer(FullyConnected &layer,
-                                    std::string name = "fc");
-
     const std::string &name() const { return name_; }
     int64_t rows() const { return rows_; }
 
@@ -120,14 +105,6 @@ class IntegrityShield
     /** Flip one bit; @p bit_offset indexes the logical row bytes. */
     void flipBit(int64_t row, uint64_t bit_offset);
 
-    /**
-     * Apply a corruption event; returns the number of bits flipped.
-     * MultiBitFlip draws its extra bit positions from @p rng;
-     * StuckRow forces every byte to 0xFF (stuck-at-one).
-     */
-    int corrupt(CorruptionKind kind, int64_t row, uint64_t bit_offset,
-                Rng &rng);
-
     /** Restore the golden bytes; true when any byte changed. */
     bool repairRow(int64_t row);
 
@@ -142,24 +119,6 @@ class IntegrityShield
     std::vector<uint64_t> checksums_; ///< per row, set by seal()
     std::vector<uint8_t> golden_;     ///< rows_ x row_bytes_ snapshot
 };
-
-/** Tally of one NaN/inf/range envelope check over activations. */
-struct EnvelopeStats
-{
-    uint64_t checked = 0; ///< elements examined
-    uint64_t nans = 0;    ///< NaN elements
-    uint64_t infs = 0;    ///< +-inf elements
-    uint64_t range = 0;   ///< finite elements with |x| > maxAbs
-
-    bool clean() const { return nans == 0 && infs == 0 && range == 0; }
-};
-
-/**
- * Scan @p n floats against the output envelope; @p max_abs <= 0
- * disables the magnitude bound (NaN/inf still checked).
- */
-void checkEnvelope(const float *x, size_t n, float max_abs,
-                   EnvelopeStats &stats);
 
 /**
  * Process-wide inline-verification hook on the SLS hot path.

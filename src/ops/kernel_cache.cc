@@ -524,19 +524,6 @@ KernelCache::tuneCount() const
     return tunes_.load(std::memory_order_relaxed);
 }
 
-uint64_t
-KernelCache::hitCount() const
-{
-    return hits_.load(std::memory_order_relaxed);
-}
-
-size_t
-KernelCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return gemm_owned_.size() + sls_owned_.size();
-}
-
 std::string
 KernelCache::dumpTable() const
 {

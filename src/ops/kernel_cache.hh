@@ -166,12 +166,6 @@ class KernelCache
     /** Completed tuning sweeps since construction/clear(). */
     uint64_t tuneCount() const;
 
-    /** Steady-state dispatches that found a memoized entry. */
-    uint64_t hitCount() const;
-
-    /** Number of memoized entries. */
-    size_t size() const;
-
     /** Human-readable table (shape -> variant, blocking, ns/call) —
      *  `recperf eval --dump-kernel-cache`. */
     std::string dumpTable() const;

@@ -27,14 +27,6 @@ OpCost::operator+=(const OpCost &o)
     return *this;
 }
 
-OpCost
-OpCost::operator+(const OpCost &o) const
-{
-    OpCost out = *this;
-    out += o;
-    return out;
-}
-
 double
 OpCost::intensity() const
 {

@@ -44,7 +44,6 @@ struct OpCost
     double bytesWritten = 0.0;
 
     OpCost &operator+=(const OpCost &o);
-    OpCost operator+(const OpCost &o) const;
 
     /** FLOPs per byte read — the paper's operational intensity metric. */
     double intensity() const;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "backend/compute_backend.hh"
 #include "core/logging.hh"
 #include "core/thread_pool.hh"
 #include "obs/trace.hh"
@@ -43,18 +42,6 @@ QuantizedEmbeddingTable::QuantizedEmbeddingTable(const EmbeddingTable &source)
     }
 }
 
-void
-QuantizedEmbeddingTable::dequantizeRow(int64_t row, float *out) const
-{
-    RP_ASSERT(row >= 0 && row < rows_, "row %lld out of %lld",
-              static_cast<long long>(row), static_cast<long long>(rows_));
-    float scale = scales_[static_cast<size_t>(row)];
-    float bias = biases_[static_cast<size_t>(row)];
-    const uint8_t *codes = codes_.data() + row * dim_;
-    for (int64_t c = 0; c < dim_; ++c)
-        out[c] = static_cast<float>(codes[c]) * scale + bias;
-}
-
 Tensor
 QuantizedEmbeddingTable::forward(const std::vector<int64_t> &ids,
                                  const std::vector<int64_t> &lengths,
@@ -90,7 +77,7 @@ QuantizedEmbeddingTable::forward(const std::vector<int64_t> &ids,
     // Fused dequantize-accumulate through the tuned kernel: no scratch
     // row, and vector tiers fold the mul-add into one FMA (tolerance,
     // not bitwise, vs the scalar tier — DESIGN.md §14).
-    const KernelCache::SlsEntry &entry = activeBackend().slsKernel(
+    const KernelCache::SlsEntry &entry = KernelCache::global().sls(
         dim_, poolingBucket(slots > 0 ? total / slots : 0),
         /*quantized=*/true);
     const microkernels::QslsAccumFn accum = entry.plan.qfn;
@@ -127,31 +114,6 @@ QuantizedEmbeddingTable::forward(const std::vector<int64_t> &ids,
             std::chrono::steady_clock::now() - t0)
             .count()));
     return out;
-}
-
-float
-QuantizedEmbeddingTable::maxQuantizationStep() const
-{
-    float widest = 0.0f;
-    for (float s : scales_)
-        widest = std::max(widest, s);
-    return widest;
-}
-
-OpCost
-QuantizedEmbeddingTable::cost(int64_t total_ids, int64_t outputs,
-                              int64_t dim)
-{
-    OpCost c;
-    // Dequantize (mul+add) then accumulate: 3 flops per element.
-    c.flops = 3.0 * static_cast<double>(total_ids) *
-        static_cast<double>(dim);
-    c.bytesRead = static_cast<double>(total_ids) *
-            (static_cast<double>(dim) + 8.0) +
-        static_cast<double>(total_ids) * sizeof(int64_t);
-    c.bytesWritten = static_cast<double>(outputs) *
-        static_cast<double>(dim) * sizeof(float);
-    return c;
 }
 
 } // namespace recperf

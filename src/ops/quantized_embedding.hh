@@ -41,9 +41,6 @@ class QuantizedEmbeddingTable
     /** Total storage, ~4x below the fp32 original. */
     int64_t storageBytes() const { return rows_ * rowBytes(); }
 
-    /** Dequantize a single row into @p out (length dim()). */
-    void dequantizeRow(int64_t row, float *out) const;
-
     /**
      * Pooled lookup with on-the-fly dequantization; semantically
      * SparseLengthsSum over the dequantized table.
@@ -51,24 +48,6 @@ class QuantizedEmbeddingTable
     Tensor forward(const std::vector<int64_t> &ids,
                    const std::vector<int64_t> &lengths,
                    SlsReduction reduction = SlsReduction::Sum) const;
-
-    /**
-     * Worst-case absolute quantization error of any element: half a
-     * quantization step of the widest row.
-     */
-    float maxQuantizationStep() const;
-
-    /** Work accounting for one pooled quantized lookup. */
-    static OpCost cost(int64_t total_ids, int64_t outputs, int64_t dim);
-
-    /**
-     * Raw mutable storage views for the integrity/fault layer
-     * (ops/integrity.hh): shields checksum — and fault injection
-     * corrupts — the stored bytes directly, scale/bias included.
-     */
-    uint8_t *codeData() { return codes_.data(); }
-    float *scaleData() { return scales_.data(); }
-    float *biasData() { return biases_.data(); }
 
   private:
     int64_t rows_;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <numeric>
 
-#include "backend/compute_backend.hh"
 #include "core/logging.hh"
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
@@ -66,7 +65,7 @@ EmbeddingTable::forward(const std::vector<int64_t> &ids,
     // The cache key buckets average pooling: the row-accumulate kernel
     // (vector tier + unroll) is what tuning picks, and element-wise
     // vertical adds keep every tier bit-identical to scalar.
-    const KernelCache::SlsEntry &entry = activeBackend().slsKernel(
+    const KernelCache::SlsEntry &entry = KernelCache::global().sls(
         dim_, poolingBucket(slots > 0 ? total / slots : 0),
         /*quantized=*/false);
     const microkernels::SlsAccumFn accum = entry.plan.fn;

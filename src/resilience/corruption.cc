@@ -91,11 +91,4 @@ FaultLog::writeFile(const std::string &path) const
     RP_ASSERT(written == body.size(), "short write to %s", path.c_str());
 }
 
-void
-FaultLog::clear()
-{
-    lines_.clear();
-    corruptions_ = 0;
-}
-
 } // namespace recperf

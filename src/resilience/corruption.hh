@@ -114,8 +114,6 @@ class FaultLog
     /** Write the log; RP_ASSERTs on I/O failure. */
     void writeFile(const std::string &path) const;
 
-    void clear();
-
   private:
     std::vector<std::string> lines_;
     uint64_t corruptions_ = 0;

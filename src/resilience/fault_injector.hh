@@ -138,11 +138,6 @@ class FaultInjector
     /** Corruption events drawn so far. */
     uint64_t corruptionsInjected() const { return corruptions_; }
 
-    uint32_t numShards() const
-    {
-        return static_cast<uint32_t>(shards_.size());
-    }
-
     /** Straggler slowdowns injected so far. */
     uint64_t stragglersInjected() const { return stragglers_; }
 

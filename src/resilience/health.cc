@@ -1,23 +1,14 @@
 #include "resilience/health.hh"
 
-#include "core/logging.hh"
-
 namespace recperf {
-
-HealthTracker::HealthTracker(const HealthOptions &options)
-    : options_(options)
-{
-    RP_ASSERT(options_.ewmaAlpha > 0.0 && options_.ewmaAlpha <= 1.0,
-              "EWMA alpha %f out of (0,1]", options_.ewmaAlpha);
-}
 
 void
 HealthTracker::recordSuccess(double latency_seconds, double now)
 {
     ewma_ = successes_ == 0
         ? latency_seconds
-        : (1.0 - options_.ewmaAlpha) * ewma_ +
-            options_.ewmaAlpha * latency_seconds;
+        : (1.0 - kHealthEwmaAlpha) * ewma_ +
+            kHealthEwmaAlpha * latency_seconds;
     ++successes_;
     consecutive_errors_ = 0;
     last_event_ = now;

@@ -22,19 +22,13 @@
 
 namespace recperf {
 
-/** Knobs of the per-replica health estimate. */
-struct HealthOptions
-{
-    /** Weight of the newest latency sample in the EWMA. */
-    double ewmaAlpha = 0.2;
-};
+/** Weight of the newest latency sample in the health EWMA. */
+inline constexpr double kHealthEwmaAlpha = 0.2;
 
 /** EWMA latency + error-streak accumulator for one replica. */
 class HealthTracker
 {
   public:
-    explicit HealthTracker(const HealthOptions &options = {});
-
     /** Fold a completed request's latency observed at @p now. */
     void recordSuccess(double latency_seconds, double now);
 
@@ -64,7 +58,6 @@ class HealthTracker
     }
 
   private:
-    HealthOptions options_;
     double ewma_ = 0.0;
     double last_event_ = 0.0;
     int consecutive_errors_ = 0;

@@ -13,15 +13,6 @@ validateRetryPolicy(const RetryPolicy &retry)
     if (retry.maxRetries < 0)
         return strprintf("max retries cannot be negative (got %d)",
                          retry.maxRetries);
-    if (retry.backoffSeconds < 0.0)
-        return strprintf("retry backoff cannot be negative (got %g s)",
-                         retry.backoffSeconds);
-    if (retry.backoffMultiplier < 1.0)
-        return strprintf("backoff multiplier must be >= 1 (got %g)",
-                         retry.backoffMultiplier);
-    if (retry.failFastSeconds < 0.0)
-        return strprintf("fail-fast detection latency cannot be "
-                         "negative (got %g s)", retry.failFastSeconds);
     return "";
 }
 

@@ -31,6 +31,16 @@
 
 namespace recperf {
 
+/** Backoff before the first retry; grows kRetryBackoffMultiplier-fold
+ *  every retry. */
+inline constexpr double kRetryBackoffSeconds = 200e-6;
+
+/** Growth of the retry backoff per retry. */
+inline constexpr double kRetryBackoffMultiplier = 2.0;
+
+/** Detection latency of a down shard (connection refused). */
+inline constexpr double kFailFastSeconds = 20e-6;
+
 /** Per-shard timeout + bounded retry with exponential backoff. */
 struct RetryPolicy
 {
@@ -45,19 +55,11 @@ struct RetryPolicy
     /** Re-sends after the initial attempt. */
     int maxRetries = 2;
 
-    /** Backoff before the first retry; doubles every retry. */
-    double backoffSeconds = 200e-6;
-
-    /** Growth of the backoff per retry. */
-    double backoffMultiplier = 2.0;
-
-    /** Detection latency of a down shard (connection refused). */
-    double failFastSeconds = 20e-6;
-
     /** Backoff inserted before retry number @p retry (0-based). */
-    double backoffBefore(int retry) const
+    static double backoffBefore(int retry)
     {
-        return backoffSeconds * std::pow(backoffMultiplier, retry);
+        return kRetryBackoffSeconds *
+            std::pow(kRetryBackoffMultiplier, retry);
     }
 };
 

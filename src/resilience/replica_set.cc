@@ -290,18 +290,6 @@ ReplicaSet::health(uint32_t replica) const
     return replicas_.at(replica).health;
 }
 
-const CircuitBreaker &
-ReplicaSet::breaker(uint32_t replica) const
-{
-    return replicas_.at(replica).breaker;
-}
-
-CircuitBreaker &
-ReplicaSet::breaker(uint32_t replica)
-{
-    return replicas_.at(replica).breaker;
-}
-
 uint64_t
 ReplicaSet::breakerOpens() const
 {

@@ -187,8 +187,6 @@ class ReplicaSet
     }
 
     const HealthTracker &health(uint32_t replica) const;
-    const CircuitBreaker &breaker(uint32_t replica) const;
-    CircuitBreaker &breaker(uint32_t replica);
 
     /** Sum of breaker trips across replicas. */
     uint64_t breakerOpens() const;

@@ -8,6 +8,13 @@
 
 namespace recperf {
 
+namespace {
+
+/** Zipf skew of the modeled lookup and canary row draws. */
+constexpr double kLookupZipfAlpha = 1.05;
+
+} // namespace
+
 std::string
 SdcOptions::validate() const
 {
@@ -31,9 +38,6 @@ SdcOptions::validate() const
     if (quarantineQuality > 1.0)
         return strprintf("quarantine quality %g above 1",
                          quarantineQuality);
-    if (lookupZipfAlpha < 0.0)
-        return strprintf("lookup zipf skew cannot be negative (got %g)",
-                         lookupZipfAlpha);
     return "";
 }
 
@@ -43,8 +47,7 @@ SdcController::SdcController(const SdcOptions &options,
                              uint64_t lookup_seed, int64_t batch,
                              int64_t lookups_per_table)
     : options_(options), topology_(topology), injector_(injector),
-      batch_(batch), lookups_per_table_(lookups_per_table),
-      rng_(lookup_seed ^ 0x10de7ab1e5ULL)
+      batch_(batch), lookups_per_table_(lookups_per_table)
 {
     std::string err = options_.validate();
     RP_ASSERT(err.empty(), "%s", err.c_str());
@@ -71,17 +74,14 @@ SdcController::SdcController(const SdcOptions &options,
             off += rows;
         }
         table_offsets_.push_back(std::move(offsets));
-        if (options_.lookupZipfAlpha > 0.0) {
-            std::vector<ZipfGen> gens, cgens;
-            for (int64_t rows : topology_.tableRows[s]) {
-                gens.emplace_back(rows, options_.lookupZipfAlpha,
-                                  lookup_master.split());
-                cgens.emplace_back(rows, options_.lookupZipfAlpha,
-                                   canary_master.split());
-            }
-            lookup_gens_.push_back(std::move(gens));
-            canary_gens_.push_back(std::move(cgens));
+        std::vector<ZipfGen> gens, cgens;
+        for (int64_t rows : topology_.tableRows[s]) {
+            gens.emplace_back(rows, kLookupZipfAlpha, lookup_master.split());
+            cgens.emplace_back(rows, kLookupZipfAlpha,
+                               canary_master.split());
         }
+        lookup_gens_.push_back(std::move(gens));
+        canary_gens_.push_back(std::move(cgens));
     }
     stats_.active = true;
 }
@@ -362,10 +362,7 @@ SdcController::runCanary(double now)
         const std::vector<int64_t> &tables = topology_.tableRows[s];
         for (size_t t = 0; t < tables.size(); ++t) {
             for (int64_t j = 0; j < lookups_per_table_; ++j) {
-                int64_t row = options_.lookupZipfAlpha > 0.0
-                    ? canary_gens_[s][t].next()
-                    : static_cast<int64_t>(rng_.nextBelow(
-                          static_cast<uint64_t>(tables[t])));
+                int64_t row = canary_gens_[s][t].next();
                 int64_t key = rowKey(static_cast<int32_t>(t), row);
                 // The canary's golden-output compare flags the row on
                 // whichever replica still holds the flip.
@@ -486,10 +483,7 @@ SdcController::onShardLookup(uint32_t shard, uint32_t replica,
             per_table * static_cast<int64_t>(tables.size())));
     for (size_t t = 0; t < tables.size(); ++t) {
         for (int64_t j = 0; j < per_table; ++j) {
-            int64_t row = options_.lookupZipfAlpha > 0.0
-                ? lookup_gens_[shard][t].next()
-                : static_cast<int64_t>(rng_.nextBelow(
-                      static_cast<uint64_t>(tables[t])));
+            int64_t row = lookup_gens_[shard][t].next();
             int64_t key = rowKey(static_cast<int32_t>(t), row);
             if (sampled)
                 touched.push_back(key);

@@ -79,9 +79,6 @@ struct SdcOptions
      *  <= 0 resolves to the brownout stale-embeddings score. */
     double quarantineQuality = 0.0;
 
-    /** Zipf skew of the modeled lookup row draws; 0 = uniform. */
-    double lookupZipfAlpha = 1.05;
-
     /** True when any detection/recovery mechanism is on. */
     bool anyDefense() const
     {
@@ -162,12 +159,6 @@ class SdcController
     /** Route trace emission; @p lane_base is the first free virtual
      *  lane (one scrub lane per replica node + one repair lane). */
     void setTracer(obs::Tracer *tracer, int lane_base);
-
-    /** Number of virtual trace lanes the controller emits on. */
-    int traceLanes() const
-    {
-        return static_cast<int>(nodes_.size()) + 1;
-    }
 
     /**
      * Advance injection, scrubbing, repair completion, canaries and
@@ -264,11 +255,9 @@ class SdcController
     int lane_base_ = -1;
 
     std::vector<NodeState> nodes_; ///< [shard * replicas + replica]
-    /** Lookup row generators, [shard][local table]; empty rows vector
-     *  when lookupZipfAlpha == 0 (uniform draws from rng_). */
+    /** Lookup row generators, [shard][local table]. */
     std::vector<std::vector<ZipfGen>> lookup_gens_;
     std::vector<std::vector<ZipfGen>> canary_gens_;
-    Rng rng_; ///< uniform lookup draws
     std::vector<std::vector<int64_t>> table_offsets_; ///< per shard
 
     /** FC corruption: row -> indices into events_ (undetected). */

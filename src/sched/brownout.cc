@@ -78,9 +78,6 @@ BrownoutOptions::validate() const
         return strprintf("brownout short window (%g s) cannot exceed "
                          "the long window (%g s)",
                          shortWindowSeconds, longWindowSeconds);
-    if (!(errorBudget > 0.0))
-        return strprintf("brownout error budget must be positive "
-                         "(got %g)", errorBudget);
     return "";
 }
 

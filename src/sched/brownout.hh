@@ -81,10 +81,10 @@ struct BrownoutOptions
     /** Fraction of SLS (embedding) work skipped at L2. */
     double skipTableFraction = 0.5;
 
-    /** Burn-rate windows and budget of the controller's own sensor. */
+    /** Burn-rate windows of the controller's own sensor (its budget
+     *  is obs::kSloErrorBudget). */
     double shortWindowSeconds = 0.1;
     double longWindowSeconds = 0.5;
-    double errorBudget = 0.01;
 
     /** Short-window burn rate that triggers entry *into* @p level. */
     double enterThreshold(int level) const;

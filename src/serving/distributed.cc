@@ -56,15 +56,16 @@ enum class AttemptEnd { Retry, Resolved, Abandoned };
 
 /**
  * The attempt loop both shard resolvers share. An attempt is abandoned
- * on cancellation or an expired budget, and fails fast when the budget
- * cannot cover a fresh attempt's p50; otherwise @p body runs it as
+ * once a sibling shard abandoned the inference or the budget expired,
+ * and fails fast when the budget cannot cover a fresh attempt's p50;
+ * otherwise @p body runs it as
  * `AttemptEnd body(const Attempt &, double &waited, Outcome &)`. Every
  * retry pays the policy backoff; exhausting them fails the shard.
  */
 template <typename Outcome, typename Ctx, typename Body>
 Outcome
 resolveAttempts(const RetryPolicy &retry, const HedgePolicy &hedge,
-                double hedge_delay, double now, const Ctx &ctx,
+                double hedge_delay, double now, Ctx &ctx,
                 RunResult *result, Body &&body)
 {
     const Deadline &dl = ctx.deadline;
@@ -76,7 +77,7 @@ resolveAttempts(const RetryPolicy &retry, const HedgePolicy &hedge,
         double start = now + waited;
         double remaining = dl.remaining(start);
         AttemptEnd end;
-        if (ctx.cancelled() || dl.expired(start)) {
+        if (ctx.abandoned || dl.expired(start)) {
             end = AttemptEnd::Abandoned;
         } else if (dl.enabled() && remaining < ctx.freshP50) {
             // Fail fast: not even a median-speed fresh attempt fits
@@ -100,7 +101,7 @@ resolveAttempts(const RetryPolicy &retry, const HedgePolicy &hedge,
             return out;
         }
         if (end == AttemptEnd::Abandoned) {
-            ctx.cancel();
+            ctx.abandoned = true;
             out.cancelled = true;
             break;
         }
@@ -420,15 +421,14 @@ ShardedInference::run(const RunOptions &options)
         bool rl_clamped = false;
         double rl_offload = 0.0;
         // Each inference carries its own budget (anchored at issue
-        // time) and cancellation token; once any shard gives up on the
-        // deadline, the token stops the remaining fan-out.
-        CancelToken inference_token;
+        // time); once any shard gives up on the deadline, the
+        // remaining fan-out stops.
         DeadlineCtx ctx{Deadline{now, options.deadlineSeconds},
-                        fresh_p50, &inference_token, options.cancel};
+                        fresh_p50};
         for (uint32_t s = 0; s < numNodes(); ++s) {
-            if (ctx.cancelled()) {
-                // Cooperative cancellation mid-fan-out: the remaining
-                // shards are never queried.
+            if (ctx.abandoned) {
+                // Abandoned mid-fan-out: the remaining shards are
+                // never queried.
                 cancelled = true;
                 break;
             }
@@ -662,7 +662,7 @@ ShardedInference::networkSeconds(double *bytes_out) const
         bytes = static_cast<double>(options_.batch) *
             static_cast<double>(config_.emb.numTables) *
             static_cast<double>(config_.emb.embDim) * 4.0;
-        seconds = network_.rttUs * 1e-6 +
+        seconds = kNetworkRttUs * 1e-6 +
             bytes / (network_.bandwidthGBps * 1e9);
     }
     if (bytes_out)
@@ -676,7 +676,7 @@ ShardedInference::resolveShard(FaultInjector &injector,
                                const HedgePolicy &hedge,
                                double hedge_delay, uint32_t shard,
                                double base_seconds, double now,
-                               const DeadlineCtx &ctx,
+                               DeadlineCtx &ctx,
                                const SdcController *sdc,
                                RunResult *result)
 {
@@ -705,8 +705,8 @@ ShardedInference::resolveShard(FaultInjector &injector,
                 out.hedgeWon = true;
                 return AttemptEnd::Resolved;
             }
-            result->wastedSeconds += retry.failFastSeconds;
-            waited += retry.failFastSeconds;
+            result->wastedSeconds += kFailFastSeconds;
+            waited += kFailFastSeconds;
             return AttemptEnd::Retry;
         }
         double service = base_seconds * injector.serviceMultiplier(a.start);
@@ -754,7 +754,7 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
                                     double hedge_delay, uint32_t shard,
                                     double base_seconds, double now,
                                     const ChaosSchedule *chaos,
-                                    const DeadlineCtx &ctx,
+                                    DeadlineCtx &ctx,
                                     const SdcController *sdc,
                                     RunResult *result)
 {
@@ -808,8 +808,8 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
             // breaker half-opens.
             ++result->breakerRejects;
             ++out.breakerRejects;
-            result->wastedSeconds += retry.failFastSeconds;
-            waited += retry.failFastSeconds;
+            result->wastedSeconds += kFailFastSeconds;
+            waited += kFailFastSeconds;
             return AttemptEnd::Retry;
         }
         auto primary = static_cast<uint32_t>(pick.replica);
@@ -848,8 +848,8 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
                 ++result->shardDownEncounters;
                 set.recordError(alt, t_hedge);
             }
-            result->wastedSeconds += retry.failFastSeconds;
-            waited += retry.failFastSeconds;
+            result->wastedSeconds += kFailFastSeconds;
+            waited += kFailFastSeconds;
             return AttemptEnd::Retry;
         }
         double warm = set.warmupMultiplier(primary, a.start);

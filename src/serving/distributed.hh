@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cancellation.hh"
 #include "core/stats.hh"
 #include "obs/metrics.hh"
 #include "obs/request_log.hh"
@@ -33,10 +32,12 @@
 
 namespace recperf {
 
+/** One network round trip between shards (kernel bypass). */
+inline constexpr double kNetworkRttUs = 10.0;
+
 /** Data-center network between shard nodes and the aggregator. */
 struct NetworkConfig
 {
-    double rttUs = 10.0;          ///< one round trip, kernel bypass
     double bandwidthGBps = 3.0;   ///< per-link (25 GbE-class)
 };
 
@@ -94,15 +95,6 @@ struct RunOptions
     double deadlineSeconds = 0.0;
 
     /**
-     * Optional external cancellation token, polled before every shard
-     * attempt; once it fires, in-flight and subsequent inferences are
-     * abandoned and counted as deadlineExpired, keeping
-     * completed + failed + deadlineExpired == measureIters exact.
-     * Not owned; may be null.
-     */
-    const CancelToken *cancel = nullptr;
-
-    /**
      * The silent-data-corruption defense ladder (scrubbing, inline
      * sampled verification, output guards, canaries, quarantine and
      * repair). A controller is engaged when faults.corruption injects
@@ -155,9 +147,9 @@ struct RunResult
     /** Inferences abandoned after retry exhaustion on some shard. */
     uint64_t failed = 0;
 
-    /** Inferences cancelled because the deadline budget expired (or a
-     *  cancellation token fired) mid-fan-out — counted as
-     *  deadline-shed, never as late completions. */
+    /** Inferences cancelled because the deadline budget expired
+     *  mid-fan-out — counted as deadline-shed, never as late
+     *  completions. */
     uint64_t deadlineExpired = 0;
 
     /** Attempts skipped outright because the remaining budget could
@@ -315,8 +307,7 @@ class ShardedInference
     {
         double elapsed = 0.0;
         bool ok = false;
-        /** Abandoned by deadline/cancellation, not by retry
-         *  exhaustion. */
+        /** Abandoned by the deadline, not by retry exhaustion. */
         bool cancelled = false;
         /** Replica that served the winning attempt (0 single-copy). */
         uint32_t replica = 0;
@@ -341,28 +332,14 @@ class ShardedInference
     /**
      * Deadline context threaded through one inference's fan-out: the
      * budget anchored at the inference's issue time, the calibrated
-     * p50 of a fresh attempt, the inference-local cancellation token
-     * (set once any shard gives up, so sibling shards stop too), and
-     * the caller's external token.
+     * p50 of a fresh attempt, and whether a shard already gave up on
+     * the budget (so sibling shards stop too).
      */
     struct DeadlineCtx
     {
         Deadline deadline;
         double freshP50 = 0.0;
-        CancelToken *token = nullptr;
-        const CancelToken *external = nullptr;
-
-        bool cancelled() const
-        {
-            return (token && token->cancelled()) ||
-                (external && external->cancelled());
-        }
-
-        void cancel() const
-        {
-            if (token)
-                token->cancel();
-        }
+        bool abandoned = false;
     };
 
     ShardOutcome resolveShard(FaultInjector &injector,
@@ -370,7 +347,7 @@ class ShardedInference
                               const HedgePolicy &hedge,
                               double hedge_delay, uint32_t shard,
                               double base_seconds, double now,
-                              const DeadlineCtx &ctx,
+                              DeadlineCtx &ctx,
                               const SdcController *sdc,
                               RunResult *result);
 
@@ -381,7 +358,7 @@ class ShardedInference
                                    double hedge_delay, uint32_t shard,
                                    double base_seconds, double now,
                                    const ChaosSchedule *chaos,
-                                   const DeadlineCtx &ctx,
+                                   DeadlineCtx &ctx,
                                    const SdcController *sdc,
                                    RunResult *result);
 

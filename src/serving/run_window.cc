@@ -6,8 +6,12 @@
 #include "obs/hw_counters.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
+#include "sched/brownout.hh"
 
 namespace recperf {
+
+static_assert(obs::kRecordBrownoutLevels == kBrownoutLevels,
+              "request records must carry every brownout level");
 
 namespace {
 

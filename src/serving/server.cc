@@ -44,14 +44,6 @@ ServingStats::slaFraction() const
 }
 
 double
-ServingStats::servedFraction() const
-{
-    uint64_t offered = offeredItems();
-    return offered > 0 ? static_cast<double>(completedItems()) /
-        static_cast<double>(offered) : 0.0;
-}
-
-double
 ServingStats::qualityScore() const
 {
     uint64_t served = completedItems();
@@ -329,12 +321,6 @@ Server::Server(const MachineSpec &machine, const ModelConfig &config,
     }
 }
 
-uint32_t
-Server::numWorkers() const
-{
-    return static_cast<uint32_t>(workers_.size());
-}
-
 double
 Server::healthyFraction() const
 {
@@ -463,7 +449,6 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
             options_.brownout.shortWindowSeconds;
         sensor_opts.longWindowSeconds =
             options_.brownout.longWindowSeconds;
-        sensor_opts.errorBudget = options_.brownout.errorBudget;
         brown_sensor.configure(sensor_opts);
         brown_sensor.setEnabled(true);
     }
@@ -488,14 +473,6 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
     double last_finish = 0.0;
     double last_assembly_end = 0.0;
     while (next < arrivals.size()) {
-        // Cooperative cancellation of the whole run: stop between
-        // batches, never admitting the remaining arrivals. Counters
-        // stay exact because those items are not counted as offered.
-        if (cancel_ && cancel_->cancelled()) {
-            if (tracer)
-                tracer->instant("deadline", "run_cancelled", last_finish, 0);
-            break;
-        }
         auto [t_free, w] = free_at.top();
         free_at.pop();
 
@@ -660,9 +637,9 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
         for (size_t i = 0; i < batch_arrivals.size(); ++i) {
             obs::RequestRecord rec =
                 item_record(batch_ids[i], batch_arrivals[i], finish);
-            // The cancellation token fires mid-batch for an item the
-            // batch finished past the deadline of: its answer is
-            // abandoned, not delivered late.
+            // An item the batch finished past the deadline of is
+            // cancelled mid-batch: its answer is abandoned, not
+            // delivered late.
             bool cancelled = deadline_on && rec.latency > deadline_budget;
             rec.outcome = cancelled ? obs::RequestOutcome::Cancelled
                                     : obs::RequestOutcome::Served;

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cancellation.hh"
 #include "core/stats.hh"
 #include "obs/metrics.hh"
 #include "obs/request_log.hh"
@@ -179,9 +178,6 @@ struct ServingStats
     /** Fraction of served items meeting the SLA. */
     double slaFraction() const;
 
-    /** Fraction of offered items that were served at all. */
-    double servedFraction() const;
-
     /**
      * Count one settled item under its outcome: a served item adds its
      * latency and an SLA met/missed; every other outcome bumps its
@@ -222,21 +218,10 @@ class Server
     ServingStats runOpenLoop(double items_per_second, uint64_t num_items);
 
     /**
-     * Install a cooperative cancellation token checked at batch
-     * granularity inside runOpenLoop: once it fires, the run stops
-     * after the in-flight batch and the not-yet-offered arrivals are
-     * simply never admitted, so the returned accounting stays exact
-     * (served + shed + cancelled == offered). Null detaches.
-     */
-    void setCancelToken(const CancelToken *cancel) { cancel_ = cancel; }
-
-    /**
      * Closed-loop run: workers always have a full batch ready
      * (saturation throughput measurement).
      */
     ServingStats runClosedLoop(uint64_t batches_per_worker);
-
-    uint32_t numWorkers() const;
 
   private:
     double serviceBatch(size_t worker, int64_t batch, double now,
@@ -256,8 +241,6 @@ class Server
     Rng priority_rng_;
     /** Present when the failure model is active. */
     std::unique_ptr<FaultInjector> injector_;
-    /** External cooperative cancellation; not owned. */
-    const CancelToken *cancel_ = nullptr;
     /** Warm-up-calibrated full-batch service estimate (seconds). */
     double warmServiceEstimate_ = 0.0;
 };

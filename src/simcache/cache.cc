@@ -108,19 +108,6 @@ Cache::extract(uint64_t addr)
     return true;
 }
 
-void
-Cache::flush()
-{
-    for (size_t base = 0; base < blocks_.size(); base += 2 * assoc_)
-        std::fill_n(blocks_.begin() + base, assoc_, kEmpty);
-}
-
-uint64_t
-Cache::occupancy() const
-{
-    return residentLines().size();
-}
-
 std::vector<uint64_t>
 Cache::residentLines() const
 {

@@ -127,12 +127,6 @@ class Cache
      */
     bool extract(uint64_t addr);
 
-    /** Drop all lines; stats are preserved. */
-    void flush();
-
-    /** Number of currently valid lines. */
-    uint64_t occupancy() const;
-
     /** Byte addresses of all resident lines (test/invariant hook). */
     std::vector<uint64_t> residentLines() const;
 

@@ -4,25 +4,11 @@
 
 namespace recperf {
 
-const char *
-hitLevelName(HitLevel level)
-{
-    switch (level) {
-      case HitLevel::L1: return "L1";
-      case HitLevel::L2: return "L2";
-      case HitLevel::L3: return "L3";
-      case HitLevel::Memory: return "DRAM";
-    }
-    return "Unknown";
-}
-
 CacheHierarchy::CacheHierarchy(uint32_t num_cores, const LevelConfig &l1,
                                const LevelConfig &l2, const LevelConfig &l3,
                                InclusionPolicy policy,
-                               uint32_t dram_latency_cycles,
                                const PrefetchConfig &prefetch)
-    : prefetch_(prefetch), policy_(policy), l1cfg_(l1), l2cfg_(l2),
-      l3cfg_(l3), dram_latency_cycles_(dram_latency_cycles)
+    : prefetch_(prefetch), policy_(policy)
 {
     RP_ASSERT(num_cores > 0, "hierarchy needs at least one core");
     for (uint32_t c = 0; c < num_cores; ++c) {
@@ -135,28 +121,6 @@ CacheHierarchy::insertVictimIntoL3(uint64_t addr)
     l3_->fill(addr);
 }
 
-uint32_t
-CacheHierarchy::latencyCycles(HitLevel level) const
-{
-    switch (level) {
-      case HitLevel::L1: return l1cfg_.latencyCycles;
-      case HitLevel::L2: return l2cfg_.latencyCycles;
-      case HitLevel::L3: return l3cfg_.latencyCycles;
-      case HitLevel::Memory: return dram_latency_cycles_;
-    }
-    RP_PANIC("unreachable hit level");
-}
-
-void
-CacheHierarchy::flushAll()
-{
-    for (auto &c : l1s_)
-        c->flush();
-    for (auto &c : l2s_)
-        c->flush();
-    l3_->flush();
-}
-
 HierarchyCounters
 CacheHierarchy::counters() const
 {
@@ -167,16 +131,6 @@ CacheHierarchy::counters() const
         agg.l2 += c->stats();
     agg.l3 += l3_->stats();
     return agg;
-}
-
-void
-CacheHierarchy::resetStats()
-{
-    for (auto &c : l1s_)
-        c->stats().reset();
-    for (auto &c : l2s_)
-        c->stats().reset();
-    l3_->stats().reset();
 }
 
 void

@@ -36,9 +36,6 @@ enum class HitLevel
     Memory,
 };
 
-/** Display name, e.g. "L2" or "DRAM". */
-const char *hitLevelName(HitLevel level);
-
 /** L2/L3 inclusion policy (Table II row "L2/L3 Inclusive or Exclusive"). */
 enum class InclusionPolicy
 {
@@ -88,11 +85,10 @@ class CacheHierarchy
   public:
     /**
      * @param num_cores number of private L1/L2 pairs (co-location slots).
-     * @param dram_latency_cycles core cycles charged for an LLC miss.
      */
     CacheHierarchy(uint32_t num_cores, const LevelConfig &l1,
                    const LevelConfig &l2, const LevelConfig &l3,
-                   InclusionPolicy policy, uint32_t dram_latency_cycles,
+                   InclusionPolicy policy,
                    const PrefetchConfig &prefetch = PrefetchConfig{});
 
     uint32_t numCores() const { return static_cast<uint32_t>(l1s_.size()); }
@@ -112,9 +108,6 @@ class CacheHierarchy
      */
     void hostPrefetch(uint32_t core, uint64_t addr) const;
 
-    /** Latency in core cycles for an access serviced at @p level. */
-    uint32_t latencyCycles(HitLevel level) const;
-
     Cache &l1(uint32_t core) { return *l1s_.at(core); }
     Cache &l2(uint32_t core) { return *l2s_.at(core); }
     Cache &l3() { return *l3_; }
@@ -122,17 +115,8 @@ class CacheHierarchy
     const Cache &l2(uint32_t core) const { return *l2s_.at(core); }
     const Cache &l3() const { return *l3_; }
 
-    /** Sum of misses seen by the shared LLC. */
-    uint64_t llcMisses() const { return l3_->stats().misses; }
-
     /** Cumulative per-level statistics aggregated across all cores. */
     HierarchyCounters counters() const;
-
-    /** Drop all cached lines (stats preserved). */
-    void flushAll();
-
-    /** Reset all statistics (contents preserved). */
-    void resetStats();
 
     /** Verify the inclusion invariant; panics on violation. Test hook. */
     void checkInclusionInvariant() const;
@@ -149,10 +133,6 @@ class CacheHierarchy
     PrefetchConfig prefetch_;
     uint64_t prefetched_lines_ = 0;
     InclusionPolicy policy_;
-    LevelConfig l1cfg_;
-    LevelConfig l2cfg_;
-    LevelConfig l3cfg_;
-    uint32_t dram_latency_cycles_;
     std::vector<std::unique_ptr<Cache>> l1s_;
     std::vector<std::unique_ptr<Cache>> l2s_;
     std::unique_ptr<Cache> l3_;

@@ -41,11 +41,6 @@ Tensor::Tensor(Shape shape) : shape_(std::move(shape))
         std::memset(buf_.data(), 0, static_cast<size_t>(size_) * sizeof(float));
 }
 
-Tensor::Tensor(Shape shape, float fill_value) : Tensor(std::move(shape))
-{
-    fill(fill_value);
-}
-
 int64_t
 Tensor::dim(size_t i) const
 {

@@ -45,9 +45,6 @@ class Tensor
     /** Allocate a zero-initialized tensor of the given shape. */
     explicit Tensor(Shape shape);
 
-    /** Allocate and fill with a constant. */
-    Tensor(Shape shape, float fill_value);
-
     const Shape &shape() const { return shape_; }
     int64_t dim(size_t i) const;
     size_t rank() const { return shape_.size(); }

@@ -38,19 +38,6 @@ ColocationResult::throughput() const
     return rate;
 }
 
-double
-ColocationResult::latencyBoundedThroughput(double sla_seconds,
-                                           int64_t batch) const
-{
-    double rate = 0.0;
-    for (const ModelTiming &t : tenantAverages) {
-        double lat = t.totalSeconds();
-        if (lat > 0.0 && lat <= sla_seconds)
-            rate += static_cast<double>(batch) / lat;
-    }
-    return rate;
-}
-
 ModelTiming
 ColocationResult::averageTiming() const
 {

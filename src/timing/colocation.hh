@@ -42,13 +42,6 @@ struct ColocationResult
     /** Aggregate inferences per second (tenants run concurrently). */
     double throughput() const;
 
-    /**
-     * Aggregate items ranked per second counting only inferences that
-     * meet the SLA (latency-bounded throughput, Section III).
-     */
-    double latencyBoundedThroughput(double sla_seconds,
-                                    int64_t batch) const;
-
     /** Element-wise average of the tenant timing breakdowns. */
     ModelTiming averageTiming() const;
 };

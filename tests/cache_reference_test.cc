@@ -184,7 +184,7 @@ fuzzAgainstReference(const FuzzConfig &cfg, uint64_t stride_lines = 1,
           }
         }
         if (step % 4096 == 0) {
-            ASSERT_EQ(cache.occupancy(), ref.occupancy());
+            ASSERT_EQ(cache.residentLines().size(), ref.occupancy());
             ASSERT_EQ(cache.contains(addr), ref.contains(addr));
         }
     }

@@ -65,7 +65,7 @@ TEST(Cache, AccessDoesNotAllocate)
     Cache c("t", 4096, 4);
     c.access(0);
     EXPECT_FALSE(c.contains(0));
-    EXPECT_EQ(c.occupancy(), 0u);
+    EXPECT_EQ(c.residentLines().size(), 0u);
 }
 
 TEST(Cache, FillIsIdempotent)
@@ -73,7 +73,7 @@ TEST(Cache, FillIsIdempotent)
     Cache c("t", 4096, 4);
     c.fill(0);
     EXPECT_FALSE(c.fill(0).has_value());
-    EXPECT_EQ(c.occupancy(), 1u);
+    EXPECT_EQ(c.residentLines().size(), 1u);
 }
 
 TEST(Cache, LruEvictionOrder)
@@ -121,17 +121,6 @@ TEST(Cache, ExtractDoesNotCountBackInvalidation)
     EXPECT_EQ(c.stats().backInvalidations, 0u);
     EXPECT_FALSE(c.contains(0));
     EXPECT_FALSE(c.extract(0));
-}
-
-TEST(Cache, FlushKeepsStats)
-{
-    Cache c("t", 4096, 4);
-    c.fill(0);
-    c.access(0);
-    c.flush();
-    EXPECT_EQ(c.occupancy(), 0u);
-    EXPECT_EQ(c.stats().hits, 1u);
-    EXPECT_FALSE(c.access(0));
 }
 
 TEST(Cache, ResidentLines)
@@ -193,7 +182,7 @@ TEST(Cache, SetIndexingIsolation)
     Cache c("t", 512, 1); // 8 direct-mapped sets
     for (uint64_t i = 0; i < 8; ++i)
         EXPECT_FALSE(c.fill(i * 64).has_value());
-    EXPECT_EQ(c.occupancy(), 8u);
+    EXPECT_EQ(c.residentLines().size(), 8u);
 }
 
 } // namespace

@@ -76,6 +76,13 @@ expect 2 shard --brownout
 expect 2 time --mtbf-ms 5
 expect 2 time --mtbf-ms 5 --deadline-ms 2
 expect 2 time --request-log-out r.jsonl
+expect 2 time --timeseries-out t.jsonl
+expect 2 eval --timeseries-out e.jsonl
+expect 2 eval --timeseries-interval-ms 5
+if [ -e t.jsonl ] || [ -e e.jsonl ]; then
+    echo "FAIL: time/eval wrote a time series they never sample"
+    fail=1
+fi
 expect 2 eval --rate 5
 expect 2 eval --rate 5 --hedge
 expect 2 eval --machine skylake
@@ -103,6 +110,8 @@ expect 2 serve --sla-ms 0
 expect 2 serve --healthy-replicas 3
 expect 2 serve --brownout-enter 3
 expect 2 serve --request-log-k 8
+expect 2 serve --timeseries-out s.jsonl --timeseries-interval-ms -1
+expect 2 shard --timeseries-interval-ms 0
 expect 2 serve stray
 expect 2 time --batch 0
 expect 2 time --model bogus

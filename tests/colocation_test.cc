@@ -121,17 +121,6 @@ TEST(Colocation, ThroughputGrowsWithModestColocation)
     EXPECT_GT(t8, t4);
 }
 
-TEST(Colocation, LatencyBoundedThroughputRespectsSla)
-{
-    MachineSpec bdw = broadwell();
-    ColocationResult r = colocate(bdw, rmc2Small(), 4);
-    // A generous SLA admits all tenants; an impossible SLA none.
-    EXPECT_GT(r.latencyBoundedThroughput(10.0, 32), 0.0);
-    EXPECT_EQ(r.latencyBoundedThroughput(1e-9, 32), 0.0);
-    EXPECT_GE(r.latencyBoundedThroughput(10.0, 32),
-              r.latencyBoundedThroughput(0.5e-3, 32));
-}
-
 TEST(Colocation, HyperthreadingEngagesBeyondPhysicalCores)
 {
     MachineSpec bdw = broadwell();

@@ -1,9 +1,7 @@
 /**
  * @file
- * Tests for end-to-end deadline budgets and cooperative cancellation:
- * the Deadline arithmetic, the CancelToken (including its
- * deterministic test fuse), the serving layer's deadline shed/cancel
- * accounting, the model-layer cancellation checkpoints, and the shard
+ * Tests for end-to-end deadline budgets: the Deadline arithmetic, the
+ * serving layer's deadline shed/cancel accounting, and the shard
  * fan-out's budget-clamped retries and fail-fast path.
  */
 
@@ -12,12 +10,10 @@
 #include <cmath>
 #include <limits>
 
-#include "core/cancellation.hh"
 #include "core/logging.hh"
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
 #include "machine/machine_spec.hh"
-#include "model/rec_model.hh"
 #include "model/zoo.hh"
 #include "resilience/deadline.hh"
 #include "serving/distributed.hh"
@@ -73,29 +69,6 @@ TEST(Deadline, ValidationRejectsNonFinite)
     EXPECT_FALSE(validateDeadlineSeconds(-1.0).empty());
     EXPECT_FALSE(validateDeadlineSeconds(kInf).empty());
     EXPECT_FALSE(validateDeadlineSeconds(std::nan("")).empty());
-}
-
-TEST(CancelToken, ManualCancelSticks)
-{
-    CancelToken token;
-    EXPECT_FALSE(token.cancelled());
-    token.cancel();
-    EXPECT_TRUE(token.cancelled());
-    EXPECT_TRUE(token.cancelled()); // idempotent
-    token.reset();
-    EXPECT_FALSE(token.cancelled());
-}
-
-TEST(CancelToken, FuseCancelsAtExactPoll)
-{
-    CancelToken token;
-    token.cancelAfterChecks(3);
-    EXPECT_FALSE(token.cancelled()); // poll 1
-    EXPECT_FALSE(token.cancelled()); // poll 2
-    EXPECT_FALSE(token.cancelled()); // poll 3
-    EXPECT_TRUE(token.cancelled());  // poll 4 observes the fuse
-    token.reset();
-    EXPECT_FALSE(token.cancelled());
 }
 
 ServerOptions
@@ -163,76 +136,6 @@ TEST(ServerDeadline, DisabledBudgetMatchesLegacyRun)
                   sb.itemLatency.samples()[i]);
 }
 
-TEST(ServerDeadline, RunCancellationKeepsAccountingExact)
-{
-    // Cancel the whole run mid-stream: the items admitted before the
-    // token fired are fully accounted; the rest were never offered.
-    ServerOptions opts = servingOptions();
-    opts.deadlineSeconds = 1.5e-3;
-    Server server(broadwell(), rmc1Small(), TimerOptions{}, opts);
-    CancelToken token;
-    token.cancelAfterChecks(20); // fires during batch formation
-    server.setCancelToken(&token);
-    ServingStats stats = server.runOpenLoop(200'000.0, 4'000);
-    EXPECT_TRUE(token.cancelled());
-    EXPECT_LT(stats.offeredItems(), 4'000u);
-    EXPECT_EQ(stats.offeredItems(),
-              stats.completedItems() + stats.shedItems +
-                  stats.droppedLowPriority + stats.shedAdmissionDeadline +
-                  stats.deadlineShedQueue + stats.deadlineCancelled);
-}
-
-ModelConfig
-tinyConfig()
-{
-    ModelConfig m;
-    m.name = "tiny";
-    m.modelClass = ModelClass::RMC1;
-    m.denseFeatures = 8;
-    m.bottomMlp = {16, 4};
-    m.emb = {3, 64, 4, 5};
-    m.topMlp = {8, 1};
-    m.validate();
-    return m;
-}
-
-TEST(RecModelCancel, PreCancelledForwardReturnsEmpty)
-{
-    Rng rng(1);
-    RecModel model(tinyConfig(), rng);
-    ModelInput input = model.randomInput(4, rng);
-    CancelToken token;
-    token.cancel();
-    Tensor out = model.forward(input, &token);
-    EXPECT_EQ(out.size(), 0);
-}
-
-TEST(RecModelCancel, MidFanoutCancelAbandonsTheBatch)
-{
-    // Fire the fuse partway through the per-table SLS fan-out: the
-    // forward pass must notice at the next checkpoint and abandon the
-    // batch instead of finishing it.
-    int original = globalThreadCount();
-    setGlobalThreadCount(1); // deterministic poll order for the fuse
-    Rng rng(1);
-    RecModel model(tinyConfig(), rng);
-    ModelInput input = model.randomInput(4, rng);
-    CancelToken token;
-    token.cancelAfterChecks(2);
-    Tensor out = model.forward(input, &token);
-    EXPECT_TRUE(token.cancelled());
-    EXPECT_EQ(out.size(), 0);
-    setGlobalThreadCount(original);
-}
-
-TEST(RecModelCancel, NullTokenStillComputes)
-{
-    Rng rng(1);
-    RecModel model(tinyConfig(), rng);
-    ModelInput input = model.randomInput(4, rng);
-    EXPECT_EQ(model.forward(input, nullptr).shape(), (Shape{4, 1}));
-}
-
 RunOptions
 shardOptions(int iters)
 {
@@ -276,23 +179,6 @@ TEST(ShardedDeadline, HopelessBudgetFailsFastEveryInference)
     EXPECT_EQ(r.completed, 0u);
     EXPECT_GT(r.deadlineFastFails, 0u);
     EXPECT_EQ(r.retries, 0u);
-}
-
-TEST(ShardedDeadline, ExternalTokenCancelsRemainingInferences)
-{
-    TimerOptions topts;
-    topts.batch = 16;
-    ShardedInference sim(broadwell(), rmc1Small(), 4, NetworkConfig{},
-                         topts);
-    RunOptions opts = shardOptions(100);
-    CancelToken token;
-    token.cancelAfterChecks(60); // mid-run, mid-fan-out
-    opts.cancel = &token;
-    RunResult r = sim.run(opts);
-    EXPECT_TRUE(token.cancelled());
-    EXPECT_EQ(r.completed + r.failed + r.deadlineExpired, 100u);
-    EXPECT_GT(r.deadlineExpired, 0u);
-    EXPECT_GT(r.completed, 0u);
 }
 
 TEST(ShardedDeadline, DisabledBudgetMatchesLegacyRun)

@@ -27,8 +27,7 @@ tinyHierarchy(uint32_t cores = 1)
     LevelConfig l1{4 * 1024, 4, 4};
     LevelConfig l2{16 * 1024, 8, 12};
     LevelConfig l3{64 * 1024, 16, 40};
-    return CacheHierarchy(cores, l1, l2, l3, InclusionPolicy::Inclusive,
-                          200);
+    return CacheHierarchy(cores, l1, l2, l3, InclusionPolicy::Inclusive);
 }
 
 obs::OpRecord
@@ -175,8 +174,11 @@ TEST(HwTelemetry, ResetDropsBaselinesButKeepsRoofline)
     telem.reset();
     EXPECT_EQ(telem.totals().cache.l1.accesses, 0u);
     EXPECT_DOUBLE_EQ(telem.totals().flops, 0.0);
-    EXPECT_EQ(telem.roofline().machine, "TestMachine");
-    EXPECT_DOUBLE_EQ(telem.roofline().ridge(), 2.0);
+    obs::MetricsRegistry reg;
+    telem.exportTo(reg);
+    EXPECT_DOUBLE_EQ(reg.snapshot().gauge("hw.machine.peak_gflops"), 100.0);
+    EXPECT_DOUBLE_EQ(
+        reg.snapshot().gauge("hw.machine.ridge_flops_per_byte"), 2.0);
 
     // Post-reset, the first sample is again baseline-only.
     telem.sampleHierarchy(hier);

@@ -34,12 +34,6 @@ tinyDot()
     return m;
 }
 
-TEST(Interaction, KindNames)
-{
-    EXPECT_STREQ(interactionKindName(InteractionKind::Concat), "concat");
-    EXPECT_STREQ(interactionKindName(InteractionKind::Dot), "dot");
-}
-
 TEST(Interaction, TopInputDimForDot)
 {
     ModelConfig m = tinyDot();
@@ -85,8 +79,10 @@ TEST(Interaction, ForwardMatchesManualComposition)
 
     // Bottom MLP.
     Tensor z = input.dense.reshaped(input.dense.shape());
-    for (const FullyConnected &fc : model.bottomLayers())
-        z = relu(reference::fullyConnected(z, fc.weight(), fc.bias()));
+    for (const FullyConnected &fc : model.bottomLayers()) {
+        z = reference::fullyConnected(z, fc.weight(), fc.bias());
+        reluInplace(z);
+    }
 
     // Pooled embeddings and stacked features [batch, f, d].
     std::vector<Tensor> pooled;

@@ -68,7 +68,6 @@ TEST(Assert, ThrowsWithoutMessage)
 TEST(Warn, DoesNotThrow)
 {
     EXPECT_NO_THROW(RP_WARN("just a warning %d", 1));
-    EXPECT_NO_THROW(RP_INFORM("status update"));
 }
 
 } // namespace

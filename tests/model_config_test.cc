@@ -13,6 +13,13 @@
 namespace recperf {
 namespace {
 
+/** Embedding parameters across all of @p m's tables. */
+int64_t
+embParams(const ModelConfig &m)
+{
+    return m.emb.totalRows() * m.emb.embDim;
+}
+
 TEST(ModelConfig, ValidateAcceptsZoo)
 {
     for (const ModelConfig &m : allZooModels())
@@ -60,7 +67,7 @@ TEST(ModelConfig, FcParamCount)
     m.validate();
     // bottom: 4*3+3 = 15; top input = 3 + 2 = 5; top: 5*1+1 = 6.
     EXPECT_EQ(m.fcParamCount(), 21);
-    EXPECT_EQ(m.embParamCount(), 20);
+    EXPECT_EQ(embParams(m), 20);
 }
 
 TEST(Zoo, EmbeddingStorageAnchors)
@@ -120,9 +127,9 @@ TEST(Zoo, Rmc3WiderBottomFc)
 
 TEST(Zoo, LargeVariantsAreLarger)
 {
-    EXPECT_GT(rmc1Large().fcParamCount() + rmc1Large().embParamCount(),
-              rmc1Small().fcParamCount() + rmc1Small().embParamCount());
-    EXPECT_GT(rmc2Large().embParamCount(), rmc2Small().embParamCount());
+    EXPECT_GT(rmc1Large().fcParamCount() + embParams(rmc1Large()),
+              rmc1Small().fcParamCount() + embParams(rmc1Small()));
+    EXPECT_GT(embParams(rmc2Large()), embParams(rmc2Small()));
     EXPECT_GT(rmc3Large().fcParamCount(), rmc3Small().fcParamCount());
 }
 
@@ -165,7 +172,7 @@ TEST(Ncf, ConfigApproximationConsistent)
     const int64_t neumf = emb + mlp + final_layer;
     ASSERT_EQ(neumf, 15'897'921);
 
-    double ratio = static_cast<double>(ncfConfig().embParamCount()) /
+    double ratio = static_cast<double>(embParams(ncfConfig())) /
         static_cast<double>(neumf);
     EXPECT_GT(ratio, 0.5);
     EXPECT_LT(ratio, 2.0);

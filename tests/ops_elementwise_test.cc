@@ -21,23 +21,11 @@ TEST(Relu, ClampsNegatives)
     x.at(static_cast<int64_t>(1)) = 0.0f;
     x.at(static_cast<int64_t>(2)) = 2.0f;
     x.at(static_cast<int64_t>(3)) = -0.5f;
-    Tensor y = relu(x);
-    EXPECT_EQ(y.at(static_cast<int64_t>(0)), 0.0f);
-    EXPECT_EQ(y.at(static_cast<int64_t>(1)), 0.0f);
-    EXPECT_EQ(y.at(static_cast<int64_t>(2)), 2.0f);
-    EXPECT_EQ(y.at(static_cast<int64_t>(3)), 0.0f);
-    // Input untouched.
-    EXPECT_EQ(x.at(static_cast<int64_t>(0)), -1.0f);
-}
-
-TEST(Relu, InplaceMatchesOutOfPlace)
-{
-    Rng rng(1);
-    Tensor x({100});
-    x.fillUniform(rng, -5.0f, 5.0f);
-    Tensor expected = relu(x);
     reluInplace(x);
-    EXPECT_TRUE(x.allClose(expected));
+    EXPECT_EQ(x.at(static_cast<int64_t>(0)), 0.0f);
+    EXPECT_EQ(x.at(static_cast<int64_t>(1)), 0.0f);
+    EXPECT_EQ(x.at(static_cast<int64_t>(2)), 2.0f);
+    EXPECT_EQ(x.at(static_cast<int64_t>(3)), 0.0f);
 }
 
 TEST(Sigmoid, KnownValues)
@@ -84,7 +72,9 @@ TEST(Sigmoid, Monotone)
 
 TEST(ConcatCols, TwoTensors)
 {
-    Tensor a({2, 2}, 1.0f), b({2, 3}, 2.0f);
+    Tensor a({2, 2}), b({2, 3});
+    a.fill(1.0f);
+    b.fill(2.0f);
     Tensor c = concatCols({&a, &b});
     EXPECT_EQ(c.shape(), (Shape{2, 5}));
     EXPECT_EQ(c.at(0, 0), 1.0f);
@@ -107,7 +97,8 @@ TEST(ConcatCols, PreservesOrderWithinRows)
 
 TEST(ConcatCols, SingleInputCopies)
 {
-    Tensor a({3, 2}, 4.0f);
+    Tensor a({3, 2});
+    a.fill(4.0f);
     Tensor c = concatCols({&a});
     EXPECT_TRUE(c.allClose(a));
 }
@@ -116,8 +107,10 @@ TEST(ConcatCols, ManyInputs)
 {
     std::vector<Tensor> parts;
     std::vector<const Tensor *> ptrs;
-    for (int i = 0; i < 10; ++i)
-        parts.emplace_back(Shape{4, 3}, static_cast<float>(i));
+    for (int i = 0; i < 10; ++i) {
+        parts.emplace_back(Shape{4, 3});
+        parts.back().fill(static_cast<float>(i));
+    }
     for (const Tensor &t : parts)
         ptrs.push_back(&t);
     Tensor c = concatCols(ptrs);
@@ -159,8 +152,6 @@ TEST(OpCost, Accumulation)
     EXPECT_DOUBLE_EQ(a.flops, 11.0);
     EXPECT_DOUBLE_EQ(a.bytesRead, 22.0);
     EXPECT_DOUBLE_EQ(a.bytesWritten, 33.0);
-    OpCost c = a + b;
-    EXPECT_DOUBLE_EQ(c.flops, 21.0);
 }
 
 TEST(OpKind, Names)

@@ -36,7 +36,8 @@ TEST(FullyConnected, ZeroWeightsGiveBias)
 {
     FullyConnected fc(4, 3);
     fc.bias().fill(2.5f);
-    Tensor x({2, 4}, 1.0f);
+    Tensor x({2, 4});
+    x.fill(1.0f);
     Tensor y = fc.forward(x);
     EXPECT_EQ(y.shape(), (Shape{2, 3}));
     for (int64_t i = 0; i < y.size(); ++i)

@@ -36,7 +36,7 @@ l3cfg()
 TEST(Prefetch, OffByDefault)
 {
     CacheHierarchy h(1, l1cfg(), l2cfg(), l3cfg(),
-                     InclusionPolicy::Inclusive, 200);
+                     InclusionPolicy::Inclusive);
     h.access(0, 0);
     EXPECT_EQ(h.prefetchedLines(), 0u);
     EXPECT_FALSE(h.l2(0).contains(64));
@@ -46,7 +46,7 @@ TEST(Prefetch, NextLineInstalledInL2)
 {
     PrefetchConfig pf{true, 1};
     CacheHierarchy h(1, l1cfg(), l2cfg(), l3cfg(),
-                     InclusionPolicy::Inclusive, 200, pf);
+                     InclusionPolicy::Inclusive, pf);
     EXPECT_EQ(h.access(0, 0), HitLevel::Memory);
     EXPECT_EQ(h.prefetchedLines(), 1u);
     EXPECT_TRUE(h.l2(0).contains(64));
@@ -59,7 +59,7 @@ TEST(Prefetch, DegreeTwoCoversTwoLines)
 {
     PrefetchConfig pf{true, 2};
     CacheHierarchy h(1, l1cfg(), l2cfg(), l3cfg(),
-                     InclusionPolicy::Inclusive, 200, pf);
+                     InclusionPolicy::Inclusive, pf);
     h.access(0, 0);
     EXPECT_TRUE(h.l2(0).contains(64));
     EXPECT_TRUE(h.l2(0).contains(128));
@@ -70,7 +70,7 @@ TEST(Prefetch, InclusionInvariantPreserved)
 {
     PrefetchConfig pf{true, 2};
     CacheHierarchy h(2, l1cfg(), l2cfg(), l3cfg(),
-                     InclusionPolicy::Inclusive, 200, pf);
+                     InclusionPolicy::Inclusive, pf);
     Rng rng(3);
     for (int i = 0; i < 10'000; ++i) {
         h.access(static_cast<uint32_t>(rng.nextBelow(2)),
@@ -84,7 +84,7 @@ TEST(Prefetch, WorksOnExclusiveHierarchy)
 {
     PrefetchConfig pf{true, 1};
     CacheHierarchy h(1, l1cfg(), l2cfg(), l3cfg(),
-                     InclusionPolicy::Exclusive, 200, pf);
+                     InclusionPolicy::Exclusive, pf);
     h.access(0, 0);
     EXPECT_TRUE(h.l2(0).contains(64));
     EXPECT_FALSE(h.l3().contains(64)); // exclusive L3 not polluted

@@ -218,8 +218,10 @@ TEST(Reservoirs, CapacityDropsAndCounts)
     for (uint64_t i = 0; i < 5; ++i)
         log.record(servedRecord(i, 1e-3));
     EXPECT_EQ(log.size(), 2u);
-    EXPECT_EQ(log.recorded(), 5u);
-    EXPECT_EQ(log.dropped(), 3u);
+    obs::MetricsRegistry reg;
+    log.exportTo(reg);
+    EXPECT_EQ(reg.snapshot().counter("tail.requests.recorded"), 5u);
+    EXPECT_EQ(reg.snapshot().counter("tail.requests.dropped"), 3u);
     log.setEnabled(false);
 }
 
@@ -432,6 +434,38 @@ TEST(Parse, MalformedLogsFailLoudlyWithLineNumbers)
     bad_phase.replace(bad_phase.find("service"), 7, "voodoo7");
     EXPECT_FALSE(obs::parseRequestLog(bad_phase + "\n", &out, &err));
     EXPECT_NE(err.find("phase"), std::string::npos) << err;
+}
+
+TEST(Parse, IntegerFieldsRejectFractionsAndOutOfRange)
+{
+    // Each counter field is an integer within its field's range (the
+    // brownout level within the ladder's); anything else is a line
+    // error, never an out-of-range float-to-int cast.
+    std::string good = obs::requestRecordJson(servedRecord(0, 1e-3));
+    auto with = [&](const std::string &fields) {
+        return good.substr(0, good.rfind('}')) + ", " + fields + "}\n";
+    };
+    std::vector<RequestRecord> out;
+    std::string err;
+    ASSERT_TRUE(obs::parseRequestLog(
+        with("\"brownout_level\": 3, \"replica\": -1, "
+             "\"retries\": 65535, \"batch_items\": 4294967295"),
+        &out, &err))
+        << err;
+    EXPECT_EQ(out[0].brownoutLevel, 3);
+    EXPECT_EQ(out[0].replica, -1);
+    EXPECT_EQ(out[0].retries, 65535);
+    EXPECT_EQ(out[0].batchItems, 4294967295u);
+    for (const char *bad :
+         {"\"brownout_level\": 9", "\"brownout_level\": 1.5",
+          "\"brownout_level\": -1", "\"retries\": 65536",
+          "\"hedges\": 2.5", "\"hedge_wins\": -3", "\"replica\": -2",
+          "\"critical_shard\": 1e300", "\"batch_items\": 4294967296",
+          "\"breaker_rejects\": 0.5"}) {
+        EXPECT_FALSE(obs::parseRequestLog(with(bad), &out, &err)) << bad;
+        EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+        EXPECT_NE(err.find("integer"), std::string::npos) << err;
+    }
 }
 
 // --- CLI knob validation ------------------------------------------------

@@ -252,12 +252,10 @@ TEST(ServingStats, ZeroItemRunsAreSafe)
     EXPECT_EQ(empty.goodThroughput(), 0.0);
     EXPECT_EQ(empty.totalThroughput(), 0.0);
     EXPECT_EQ(empty.slaFraction(), 0.0);
-    EXPECT_EQ(empty.servedFraction(), 0.0);
     EXPECT_EQ(empty.completedItems(), 0u);
     EXPECT_EQ(empty.offeredItems(), 0u);
     EXPECT_EQ(empty.itemLatency.p(50), 0.0);
     EXPECT_EQ(empty.itemLatency.p(99), 0.0);
-    EXPECT_EQ(empty.itemLatency.mean(), 0.0);
 
     RunResult r;
     EXPECT_EQ(r.availability(), 0.0);
@@ -292,7 +290,7 @@ TEST(Admission, ShedsLoadAndProtectsSla)
     // Shedding hopeless items keeps the served items under the SLA.
     EXPECT_GT(with.slaFraction(), without.slaFraction());
     EXPECT_GT(with.slaFraction(), 0.8);
-    EXPECT_LT(with.servedFraction(), 1.0);
+    EXPECT_LT(with.completedItems(), with.offeredItems());
 }
 
 TEST(Admission, DeterministicShedCounts)
@@ -554,9 +552,6 @@ TEST(PolicyValidation, RetryAndHedgeCrossChecks)
     EXPECT_FALSE(validateRetryPolicy(retry).empty());
     retry = {};
     retry.maxRetries = -1;
-    EXPECT_FALSE(validateRetryPolicy(retry).empty());
-    retry = {};
-    retry.backoffSeconds = -1.0;
     EXPECT_FALSE(validateRetryPolicy(retry).empty());
 
     HedgePolicy hedge;

@@ -2,8 +2,8 @@
  * @file
  * Golden export oracle for request settlement.
  *
- * Each cell runs one serving configuration, in a forked child of the
- * test process, with every observability sink on (trace, hardware
+ * Each cell runs one serving configuration in the test process, after
+ * clearing the process-wide sinks, with every one of them on (trace, hardware
  * telemetry, time series, request log) and pins a 64-bit FNV-1a hash
  * of each of the five exports: the Chrome trace JSON, the metrics JSON,
  * the request-log JSONL, the exemplars JSONL and the time-series
@@ -18,9 +18,6 @@
  */
 
 #include <gtest/gtest.h>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <functional>
@@ -78,65 +75,52 @@ struct Exports
 /**
  * Run @p body with every sink enabled and hash the exports, collected
  * in the order the CLI writes them: the run's own counters first, then
- * the telemetry, time-series and request-log metrics. The run happens
- * in a forked child, so each cell starts from a fresh process exactly
- * as under ctest, whatever ran before it in this binary: process-wide
- * state such as the tracer's wall-lane numbering or the registrations
- * MetricsRegistry::reset() keeps cannot leak from one cell into the
- * next.
+ * the telemetry, time-series and request-log metrics. Each cell clears
+ * the process-wide sinks first and exports into its own registry, so
+ * its hashes do not depend on which cells ran before it in this
+ * process.
  */
 Exports
 observedRun(const std::function<void(obs::MetricsRegistry &)> &body)
 {
-    int fds[2];
-    EXPECT_EQ(pipe(fds), 0);
-    pid_t child = fork();
-    if (child == 0) {
-        close(fds[0]);
-        obs::Tracer &tracer = obs::Tracer::global();
-        obs::HwTelemetry &telem = obs::HwTelemetry::global();
-        obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
-        obs::RequestLogger &rlog = obs::RequestLogger::global();
-        tracer.setEnabled(true);
-        telem.setEnabled(true);
-        obs::TimeSeriesOptions topts;
-        topts.intervalSeconds = 1e-3;
-        sampler.configure(topts);
-        sampler.setEnabled(true);
-        rlog.configure(obs::RequestLogOptions{});
-        rlog.setEnabled(true);
+    obs::Tracer &tracer = obs::Tracer::global();
+    obs::HwTelemetry &telem = obs::HwTelemetry::global();
+    obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
+    obs::RequestLogger &rlog = obs::RequestLogger::global();
+    tracer.clear();
+    telem.reset();
+    tracer.setEnabled(true);
+    telem.setEnabled(true);
+    obs::TimeSeriesOptions topts;
+    topts.intervalSeconds = 1e-3;
+    sampler.configure(topts);
+    sampler.setEnabled(true);
+    rlog.configure(obs::RequestLogOptions{});
+    rlog.setEnabled(true);
 
-        obs::MetricsRegistry registry;
-        body(registry);
-        telem.exportTo(registry);
-        sampler.exportTo(registry);
-        rlog.exportTo(registry);
+    obs::MetricsRegistry registry;
+    body(registry);
+    telem.exportTo(registry);
+    sampler.exportTo(registry);
+    rlog.exportTo(registry);
 
-        Exports e;
-        std::string requests = rlog.toJsonl();
-        e.requests = fnv1a(requests);
-        e.exemplars = fnv1a(rlog.exemplarsJsonl());
-        e.series = fnv1a(sampler.toJsonl());
-        tracer.setEnabled(false);
-        e.trace = fnv1a(tracer.toJson());
-        e.metrics = fnv1a(registry.snapshot().toJson());
-        std::vector<RequestRecord> records;
-        std::string err;
-        e.parsed = obs::parseRequestLog(requests, &records, &err);
-        for (const RequestRecord &rec : records)
-            ++e.outcomes[static_cast<size_t>(rec.outcome)];
-        bool sent = write(fds[1], &e, sizeof(e)) ==
-            static_cast<ssize_t>(sizeof(e));
-        _exit(sent ? 0 : 1);
-    }
-    close(fds[1]);
     Exports e;
-    EXPECT_EQ(read(fds[0], &e, sizeof(e)), static_cast<ssize_t>(sizeof(e)));
-    close(fds[0]);
-    int status = 0;
-    EXPECT_EQ(waitpid(child, &status, 0), child);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-    EXPECT_TRUE(e.parsed) << "request log must parse";
+    std::string requests = rlog.toJsonl();
+    e.requests = fnv1a(requests);
+    e.exemplars = fnv1a(rlog.exemplarsJsonl());
+    e.series = fnv1a(sampler.toJsonl());
+    tracer.setEnabled(false);
+    telem.setEnabled(false);
+    sampler.setEnabled(false);
+    rlog.setEnabled(false);
+    e.trace = fnv1a(tracer.toJson());
+    e.metrics = fnv1a(registry.snapshot().toJson());
+    std::vector<RequestRecord> records;
+    std::string err;
+    e.parsed = obs::parseRequestLog(requests, &records, &err);
+    EXPECT_TRUE(e.parsed) << "request log must parse: " << err;
+    for (const RequestRecord &rec : records)
+        ++e.outcomes[static_cast<size_t>(rec.outcome)];
     return e;
 }
 

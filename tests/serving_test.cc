@@ -87,7 +87,7 @@ TEST(Server, LoadGrowsBatches)
     ServingStats idle = light.runOpenLoop(20.0, 150);
     Server heavy(broadwell(), rmc1Small(), TimerOptions{}, opts);
     ServingStats busy = heavy.runOpenLoop(100'000.0, 1'500);
-    EXPECT_GT(busy.serviceTime.mean(), idle.serviceTime.mean());
+    EXPECT_GT(busy.serviceTime.p(50), idle.serviceTime.p(50));
 }
 
 TEST(Server, TailAboveMedian)
@@ -166,7 +166,7 @@ TEST(Server, FcTimesRecorded)
     ServingStats stats = server.runClosedLoop(5);
     ASSERT_GT(stats.fcTime.count(), 0u);
     // RMC3 service time is FC-dominated.
-    EXPECT_GT(stats.fcTime.mean(), 0.8 * stats.serviceTime.mean());
+    EXPECT_GT(stats.fcTime.p(50), 0.8 * stats.serviceTime.p(50));
 }
 
 TEST(Server, ValidatesOptions)

@@ -66,9 +66,6 @@ TEST(LatencySample, BasicStats)
     for (double x : {3.0, 1.0, 2.0})
         s.add(x);
     EXPECT_EQ(s.count(), 3u);
-    EXPECT_NEAR(s.mean(), 2.0, 1e-12);
-    EXPECT_EQ(s.min(), 1.0);
-    EXPECT_EQ(s.max(), 3.0);
     EXPECT_EQ(s.p(50), 2.0);
 }
 
@@ -78,7 +75,7 @@ TEST(LatencySample, ClearResets)
     s.add(1.0);
     s.clear();
     EXPECT_TRUE(s.empty());
-    EXPECT_EQ(s.mean(), 0.0);
+    EXPECT_EQ(s.p(50), 0.0);
 }
 
 } // namespace

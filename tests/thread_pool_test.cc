@@ -118,19 +118,28 @@ TEST(ThreadPool, PoolUsableAfterException)
     EXPECT_EQ(covered.load(), 1000);
 }
 
+/** Chunks the pool dispatched while countPooledChunk is installed. */
+std::atomic<int64_t> g_pooled_chunks{0};
+
+void
+countPooledChunk(int64_t, int64_t, std::chrono::steady_clock::time_point,
+                 std::chrono::steady_clock::time_point)
+{
+    g_pooled_chunks.fetch_add(1);
+}
+
 TEST(ThreadPool, NestedCallsRunInlineWithExactCoverage)
 {
     ThreadPool pool(4);
     constexpr int64_t kOuter = 16;
     constexpr int64_t kInner = 100;
     std::vector<std::atomic<int>> hits(kOuter * kInner);
-    std::atomic<bool> inner_saw_region{true};
+    g_pooled_chunks = 0;
+    setPoolChunkHook(countPooledChunk);
     pool.parallelFor(0, kOuter, 1, [&](int64_t olo, int64_t ohi) {
         for (int64_t o = olo; o < ohi; ++o) {
-            // The nested call must observe an active region and thus
-            // degrade to inline execution on this thread.
-            if (!inParallelRegion())
-                inner_saw_region = false;
+            // The nested call runs inline on this thread: it
+            // dispatches no pool chunks of its own.
             pool.parallelFor(0, kInner, 1, [&](int64_t lo, int64_t hi) {
                 for (int64_t i = lo; i < hi; ++i)
                     hits[static_cast<size_t>(o * kInner + i)]
@@ -138,7 +147,8 @@ TEST(ThreadPool, NestedCallsRunInlineWithExactCoverage)
             });
         }
     });
-    EXPECT_TRUE(inner_saw_region.load());
+    setPoolChunkHook(nullptr);
+    EXPECT_EQ(g_pooled_chunks.load(), kOuter); // the outer chunks only
     for (size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i].load(), 1) << "flat index " << i;
 }
@@ -148,12 +158,14 @@ TEST(ThreadPool, SmallRangeInlineDoesNotSuppressNestedParallelism)
     ThreadPool pool(4);
     // total <= grain executes inline on the caller WITHOUT entering a
     // region, so an op wrapped in a trivial outer loop keeps its inner
-    // parallelism.
-    bool outer_in_region = true;
+    // parallelism: the nested call dispatches pool chunks.
+    g_pooled_chunks = 0;
+    setPoolChunkHook(countPooledChunk);
     pool.parallelFor(0, 1, 1, [&](int64_t, int64_t) {
-        outer_in_region = inParallelRegion();
+        pool.parallelFor(0, 100, 1, [](int64_t, int64_t) {});
     });
-    EXPECT_FALSE(outer_in_region);
+    setPoolChunkHook(nullptr);
+    EXPECT_GT(g_pooled_chunks.load(), 1);
 }
 
 TEST(ThreadPool, OversubscriptionCompletes)

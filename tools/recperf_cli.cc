@@ -33,9 +33,10 @@
  * --trace-out=<file> (Chrome trace-event JSON; open in Perfetto) and
  * --metrics-out=<file> (metrics-registry JSON plus a summary table).
  * --counters turns on the hardware-model telemetry (FLOPs, bytes,
- * per-level cache stats, roofline gauges) and --timeseries-out=<file>
- * additionally samples it on a fixed virtual-time cadence into JSONL
- * (--timeseries-interval-ms sets the cadence).
+ * per-level cache stats, roofline gauges); on serve and shard,
+ * --timeseries-out=<file> additionally samples it on a fixed
+ * virtual-time cadence into JSONL (--timeseries-interval-ms sets the
+ * cadence).
  *
  * Examples:
  *   recperf time --model rmc2 --machine skylake --batch 64
@@ -204,8 +205,8 @@ integritySampleArg(const ArgParser &args)
 
 /**
  * The observability sinks of one run (an empty path is off): the sink
- * group of time/serve/shard/eval plus, on serve and shard, the request
- * log.
+ * group of time/serve/shard/eval plus, on serve and shard, the time
+ * series and the request log.
  */
 struct Sinks
 {
@@ -225,17 +226,22 @@ struct Sinks
 };
 
 Sinks
-sinksFromArgs(const ArgParser &args, bool request_log)
+sinksFromArgs(const ArgParser &args, bool serving)
 {
     Sinks s;
     s.trace = args.option("trace-out");
     s.metrics = args.option("metrics-out");
-    s.timeseries = args.option("timeseries-out");
     s.counters = args.flag("counters");
-    s.timeseriesOptions.intervalSeconds =
-        args.optionDouble("timeseries-interval-ms") / 1e3;
-    if (!request_log)
+    if (!serving)
         return s;
+    s.timeseries = args.option("timeseries-out");
+    double interval_ms = args.optionDouble("timeseries-interval-ms");
+    if (!(interval_ms > 0.0)) {
+        throw UsageError(strprintf(
+            "--timeseries-interval-ms must be positive (got %g)",
+            interval_ms));
+    }
+    s.timeseriesOptions.intervalSeconds = interval_ms / 1e3;
     s.requestLog = args.option("request-log-out");
     s.exemplars = args.option("exemplars-out");
     obs::RequestLogOptions &r = s.requestLogOptions;
@@ -1102,7 +1108,7 @@ enum Group : unsigned
     kGlobal = 1u << 0,     ///< --help, --threads and the backend spec
     kModel = 1u << 1,      ///< model and batch
     kMachine = 1u << 2,    ///< simulated machine
-    kSinks = 1u << 3,      ///< trace, metrics, counters, time series
+    kSinks = 1u << 3,      ///< trace, metrics, counters
     kRequestLog = 1u << 4, ///< per-request log (serving lanes only)
     kFaults = 1u << 5,     ///< service-time faults and deadline budget
     kTime = 1u << 6,
@@ -1177,10 +1183,10 @@ const Knob kKnobs[] = {
     {"counters", kSinks, kText, nullptr,
      "collect hardware-model telemetry (FLOPs, bytes, cache stats, "
      "roofline gauges)"},
-    {"timeseries-out", kSinks, kText, "",
+    {"timeseries-out", kServe | kShard, kText, "",
      "sample telemetry/SLO burn on a virtual-time cadence and write "
      "JSONL (implies --counters)"},
-    {"timeseries-interval-ms", kSinks, kNum, "10",
+    {"timeseries-interval-ms", kServe | kShard, kNum, "10",
      "virtual-time sampling cadence for --timeseries-out"},
     {"request-log-out", kRequestLog, kText, "",
      "write one causal JSON record per request as JSONL"},
